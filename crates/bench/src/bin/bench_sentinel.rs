@@ -23,14 +23,8 @@
 //!
 //! The sentinel also distils the fan-out-1 story the throughput bench
 //! only tracks as a ratio: the per-stage breakdown of the candidate's
-//! fan-out-1 cells, naming the dominant stage behind the historical
-//! 0.70–0.94× singular-path gap. Writes `results/BENCH_attribution.json`.
-//!
-//! When both artifacts carry the `multicore` dimension (the sharded
-//! sweep), each shard count's `scale_vs_one_shard` is diffed too — raw
-//! events/second is machine-bound, the scaling ratio is not. A baseline
-//! predating the dimension, a scale mismatch, or differing core counts
-//! demote the comparison to advisory.
+//! fan-out-1 cells, naming the dominant stage behind the snapshot
+//! path's single-subscriber gap. Writes `results/BENCH_attribution.json`.
 
 use std::fmt::Write as _;
 
@@ -62,26 +56,14 @@ struct Cell {
     stages: Vec<Stage>,
 }
 
-/// One sharded-sweep row parsed back out of a `"multicore"` array.
-#[derive(Debug, Clone, Copy)]
-struct ShardCell {
-    shards: u64,
-    events_per_sec: f64,
-    scale_vs_one_shard: f64,
-}
-
 /// A parsed `BENCH_perf.json`.
 #[derive(Debug)]
 struct Perf {
     cells: Vec<Cell>,
-    /// Sharded-sweep rows; empty for artifacts predating the dimension.
-    multicore: Vec<ShardCell>,
     speedup_total: f64,
     fanout1_ratio: f64,
     /// Sweep scale (`config.events_per_publisher`); 0 when absent.
     events_per_publisher: u64,
-    /// Host cores the artifact ran on (`config.cores`); 0 when absent.
-    cores: u64,
 }
 
 /// The first number following `"key":` in `s`, if any (hand-rolled:
@@ -110,25 +92,9 @@ fn parse_perf(path: &str) -> Result<Perf, String> {
         .ok_or_else(|| format!("'{path}' has no \"speedup_total\" — not a BENCH_perf artifact?"))?;
     let fanout1_ratio = num_field(&text, "fanout1_ratio").unwrap_or(0.0);
     let mut cells = Vec::new();
-    let mut multicore = Vec::new();
-    // Each sweep cell is one line in the "results" array; sharded-sweep
-    // rows lead with "shards" in the "multicore" array.
+    // Each sweep cell is one line in the "results" array.
     for line in text.lines() {
         let line = line.trim();
-        if line.starts_with("{\"shards\":") {
-            if let (Some(shards), Some(eps), Some(scale)) = (
-                num_field(line, "shards"),
-                num_field(line, "events_per_sec"),
-                num_field(line, "scale_vs_one_shard"),
-            ) {
-                multicore.push(ShardCell {
-                    shards: shards as u64,
-                    events_per_sec: eps,
-                    scale_vs_one_shard: scale,
-                });
-            }
-            continue;
-        }
         if !line.starts_with("{\"publishers\":") {
             continue;
         }
@@ -165,11 +131,9 @@ fn parse_perf(path: &str) -> Result<Perf, String> {
     }
     Ok(Perf {
         cells,
-        multicore,
         speedup_total,
         fanout1_ratio,
         events_per_publisher: num_field(&text, "events_per_publisher").unwrap_or(0.0) as u64,
-        cores: num_field(&text, "cores").unwrap_or(0.0) as u64,
     })
 }
 
@@ -283,69 +247,9 @@ fn main() {
         ));
     }
 
-    // The sharded sweep: diff each shard count's scaling against the
-    // baseline's. Gated only when the baseline carries the dimension,
-    // ran at the same scale, and on the same core count — anything else
-    // (an artifact predating the dimension above all) is advisory.
-    let multicore_gated = !baseline.multicore.is_empty()
-        && like_for_like
-        && baseline.cores == candidate.cores
-        && baseline.cores > 0;
-    let mut multicore_regressions = 0u64;
-    let mut shard_reports: Vec<String> = Vec::new();
-    if baseline.multicore.is_empty() && !candidate.multicore.is_empty() {
-        eprintln!(
-            "multicore: baseline has no sharded-sweep dimension — candidate rows are \
-             advisory (the next committed baseline will carry them)"
-        );
-    } else if !multicore_gated && !candidate.multicore.is_empty() {
-        eprintln!(
-            "multicore: scale or core-count mismatch (baseline {} cores, candidate {}) — \
-             scaling diffs are advisory",
-            baseline.cores, candidate.cores
-        );
-    }
-    for cand in &candidate.multicore {
-        let base = baseline.multicore.iter().find(|b| b.shards == cand.shards);
-        let (base_scale, ratio) = match base {
-            Some(b) => (
-                b.scale_vs_one_shard,
-                cand.scale_vs_one_shard / b.scale_vs_one_shard.max(1e-9),
-            ),
-            None => (0.0, 1.0),
-        };
-        let regressed = base.is_some() && ratio < GATE_FRACTION;
-        if regressed {
-            multicore_regressions += 1;
-            eprintln!(
-                "multicore shards={}: scaling {:.2}x vs baseline {:.2}x (ratio {ratio:.3}) \
-                 REGRESSED{}",
-                cand.shards,
-                cand.scale_vs_one_shard,
-                base_scale,
-                if multicore_gated { "" } else { " (advisory)" }
-            );
-        } else {
-            eprintln!(
-                "multicore shards={}: {:.0} ev/s, scaling {:.2}x{}",
-                cand.shards,
-                cand.events_per_sec,
-                cand.scale_vs_one_shard,
-                base.map(|_| format!(" (baseline {base_scale:.2}x, ratio {ratio:.3})"))
-                    .unwrap_or_default()
-            );
-        }
-        shard_reports.push(format!(
-            "{{\"shards\": {}, \"events_per_sec\": {:.0}, \"scale_vs_one_shard\": {:.3}, \
-             \"baseline_scale\": {base_scale:.3}, \"ratio\": {ratio:.3}, \
-             \"regressed\": {regressed}}}",
-            cand.shards, cand.events_per_sec, cand.scale_vs_one_shard
-        ));
-    }
-
     // The fan-out-1 story: average each stage's share across the
     // candidate's fan-out-1 cells and name the dominant one — the
-    // bottleneck behind the known 0.70–0.94× single-subscriber gap.
+    // bottleneck behind the known single-subscriber gap.
     let f1: Vec<&Cell> = candidate.cells.iter().filter(|c| c.fanout == 1).collect();
     let mut f1_stages: Vec<(String, String, i64, u64)> = Vec::new();
     for cell in &f1 {
@@ -369,8 +273,8 @@ fn main() {
     if let Some((stage, kind, share, p95)) = &bottleneck {
         eprintln!(
             "fan-out-1 bottleneck: stage '{stage}' ({kind}) holds {share}‰ of the window \
-             (p95 {p95} µs) — the per-publish cost batching amortises; the tracked \
-             single-subscriber ratio is {:.2}x",
+             (p95 {p95} µs) — the per-publish cost one subscriber cannot amortise; the \
+             tracked single-subscriber ratio is {:.2}x",
             candidate.fanout1_ratio
         );
     }
@@ -400,22 +304,7 @@ fn main() {
         let _ = writeln!(json, "    {row}{comma}");
     }
     json.push_str("  ],\n");
-    json.push_str("  \"multicore\": {\n");
-    let _ = writeln!(json, "    \"gated\": {multicore_gated},");
-    let _ = writeln!(
-        json,
-        "    \"cores\": {{\"baseline\": {}, \"candidate\": {}}},",
-        baseline.cores, candidate.cores
-    );
-    json.push_str("    \"cells\": [\n");
-    for (i, row) in shard_reports.iter().enumerate() {
-        let comma = if i + 1 < shard_reports.len() { "," } else { "" };
-        let _ = writeln!(json, "      {row}{comma}");
-    }
-    json.push_str("    ]\n");
-    json.push_str("  },\n");
     let _ = writeln!(json, "  \"fanout1\": {{");
-    let _ = writeln!(json, "    \"known_gap\": \"0.70-0.94x\",");
     let _ = writeln!(
         json,
         "    \"candidate_ratio\": {:.3},",
@@ -438,8 +327,7 @@ fn main() {
                 "    \"bottleneck\": {{\"stage\": \"{stage}\", \"kind\": \"{kind}\", \
                  \"mean_share_milli\": {share}, \"detail\": \"dominant fan-out-1 stage: \
                  a single subscriber cannot amortise the per-publish shared encode, which \
-                 historically put the singular snapshot path at 0.70-0.94x the locked arm; \
-                 the gated batched path amortises '{stage}' across each burst\"}}"
+                 puts the snapshot path below the locked arm at fan-out 1\"}}"
             );
         }
         None => {
@@ -458,13 +346,6 @@ fn main() {
     std::fs::write(&out_path, &json).expect("write attribution artifact");
     eprintln!("wrote {out_path}");
 
-    if multicore_regressions > 0 && multicore_gated {
-        eprintln!(
-            "FAIL: {multicore_regressions} sharded-sweep cell(s) scaling below \
-             {GATE_FRACTION}x of the committed baseline's scaling"
-        );
-        std::process::exit(1);
-    }
     if unattributed > 0 && like_for_like {
         eprintln!(
             "FAIL: {unattributed} regressed cell(s) beyond {GATE_FRACTION}x with no stage \

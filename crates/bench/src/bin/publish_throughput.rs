@@ -7,47 +7,43 @@
 //!     [--events 20000] [--smoke] [--gate]
 //! ```
 //!
-//! The sweep crosses publisher count × fan-out. For every cell the
+//! The sweep crosses publisher count × fan-out. For every cell both
 //! arms do the same semantic work — match the event, skip the
 //! publisher, hand each interested subscriber a deliverable packet —
 //! but the baseline arm pays the old costs (three lock acquisitions per
 //! publish, one event clone plus one full packet encode per subscriber)
-//! while the snapshot arm publishes through the bus's batched hot path
-//! ([`EventBus::publish_batch`]): one route-snapshot load, one matcher
-//! scratch pass, one encode arena and one metrics flush per burst of
-//! [`PUBLISH_BATCH`] events. The singular (per-event) snapshot path is
-//! measured too and reported as `singular_speedup`, so the amortisation
-//! win stays visible.
+//! while the snapshot arm publishes through [`EventBus::publish`], the
+//! path the cell runs: one route-snapshot load and one shared encode
+//! per publish.
 //!
-//! Writes `results/BENCH_perf.json`. With `--gate`, the committed
-//! `results/BENCH_perf.json` is read *first* and the run fails if the
-//! fresh overall speedup drops below [`GATE_FRACTION`] of the committed
-//! one — the CI regression gate.
+//! Every publisher thread times its own work, and a cell's wall time is
+//! [`wall_time`] over those spans — earliest start to latest end — so
+//! the clock can never start after the work finished.
 //!
-//! Fan-out 1 is tracked separately as `fanout1_ratio`. The singular
-//! snapshot path historically ran 0.70–0.94× the locked path there (one
-//! subscriber never amortises the shared encode); batching is exactly
-//! the fix for that unamortised per-publish cost, so the gated floor
-//! ([`FANOUT1_FLOOR`]) now demands the batched arm *wins* at fan-out 1
-//! rather than merely not collapsing.
+//! Writes `results/BENCH_perf.json`, with the host's core count, the
+//! commit, the compiler and the build profile in its `config` stanza.
+//! With `--gate`, the committed `results/BENCH_perf.json` is read
+//! *first* and the run fails if the fresh overall speedup or the fresh
+//! fan-out-1 ratio drops below [`GATE_FRACTION`] of the committed one —
+//! the CI regression gate.
 //!
-//! A second, sharded sweep (`shards` × the same work) pushes the same
-//! load through [`ShardedBus`] workers and records events/second plus
-//! each cell's scaling against its own one-shard row — the multi-core
-//! story. Raw throughput is machine-bound, so only the *scaling* ratio
-//! is diffed by the sentinel, and only when the committed baseline
-//! carries the dimension.
+//! Fan-out 1 is tracked separately as `fanout1_ratio`: one subscriber
+//! never amortises the shared encode, so the snapshot path runs below
+//! the locked path there (0.83–0.91× in the committed baseline). It is
+//! gated against the committed ratio, like the geomean, rather than
+//! against an absolute floor.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::process::Command;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use smc_bench::HarnessArgs;
-use smc_core::{DeliveryFrame, EventBus, EventSink, ShardConfig, ShardedBus};
+use smc_bench::{wall_time, HarnessArgs};
+use smc_core::{DeliveryFrame, EventBus, EventSink};
 use smc_match::{EngineKind, Matcher};
 use smc_telemetry::{CriticalPath, Hop, StageRow, TraceSink, Tracer};
 use smc_types::codec::to_bytes;
@@ -56,32 +52,21 @@ use smc_types::{
 };
 
 /// The regression gate: a fresh run must reach at least this fraction of
-/// the committed overall speedup.
+/// the committed overall speedup and of the committed fan-out-1 ratio.
 const GATE_FRACTION: f64 = 0.85;
 
 /// The gate fraction when the fresh run and the committed baseline ran
 /// at different `events_per_publisher` scales (a smoke run gated
 /// against a full-run baseline): per-cell throughput is much noisier at
-/// smoke scale, so the overall ratio gets more headroom. The sentinel
+/// smoke scale, so both gated ratios get more headroom. The sentinel
 /// applies the same like-for-like rule per cell.
 const SCALE_MISMATCH_GATE_FRACTION: f64 = 0.70;
-
-/// Hard floor for the tracked fan-out-1 ratio. The singular snapshot
-/// path lost here (0.70–0.94×, the unamortised shared encode); the
-/// batched hot path amortises that fixed cost across the burst, so the
-/// floor demands an outright win.
-const FANOUT1_FLOOR: f64 = 1.0;
-
-/// Events per coalesced publish on the batched snapshot arm — the
-/// burst size one snapshot load, scratch pass, encode arena and
-/// metrics flush are amortised over.
-const PUBLISH_BATCH: usize = 64;
 
 /// Repetitions per arm per sweep cell; each cell reports the best run.
 /// Throughput noise on a shared host is one-sided — scheduler stalls
 /// only ever slow a run down — so max-of-N is the low-variance
-/// estimator, and it is what keeps the fan-out-1 floor from flapping
-/// on single-core CI runners.
+/// estimator, and it is what keeps the fan-out-1 gate from flapping
+/// on small CI runners.
 const MEASURE_REPS: usize = 2;
 
 /// Counts deliveries and delivered bytes; the snapshot arm's sink takes
@@ -107,12 +92,6 @@ impl EventSink for CountingSink {
         self.bytes
             .fetch_add(encoded.len() as u64, Ordering::Relaxed);
         Ok(())
-    }
-
-    fn prefers_encoded(&self) -> bool {
-        // Pay the wire encode exactly as a proxy enqueue does, so the
-        // batched arm exercises the shared encode arena.
-        true
     }
 }
 
@@ -210,11 +189,17 @@ fn total_delivered(sinks: &[Arc<CountingSink>]) -> u64 {
         .sum()
 }
 
-/// Extracts `"speedup_total"` and `"events_per_publisher"` from a
-/// committed results file, if present (hand-rolled: the repo carries no
-/// JSON parser dependency). The scale disambiguates smoke-vs-full gate
-/// comparisons.
-fn read_committed_speedup(path: &str) -> Option<(f64, u64)> {
+/// The gated figures of a committed results file.
+struct Committed {
+    speedup_total: f64,
+    fanout1_ratio: f64,
+    /// The sweep scale; it disambiguates smoke-vs-full gate comparisons.
+    events_per_publisher: u64,
+}
+
+/// Reads the gated figures back out of a committed results file, if
+/// present (hand-rolled: the repo carries no JSON parser dependency).
+fn read_committed(path: &str) -> Option<Committed> {
     let text = std::fs::read_to_string(path).ok()?;
     let field = |key: &str| -> Option<f64> {
         let k = format!("\"{key}\":");
@@ -225,9 +210,32 @@ fn read_committed_speedup(path: &str) -> Option<(f64, u64)> {
             .unwrap_or(rest.len());
         rest[..end].parse().ok()
     };
-    let speedup = field("speedup_total")?;
-    let scale = field("events_per_publisher").unwrap_or(0.0) as u64;
-    Some((speedup, scale))
+    Some(Committed {
+        speedup_total: field("speedup_total")?,
+        fanout1_ratio: field("fanout1_ratio")?,
+        events_per_publisher: field("events_per_publisher").unwrap_or(0.0) as u64,
+    })
+}
+
+/// The first line a command prints, or `"unknown"` if it cannot run.
+fn command_line(program: &str, args: &[&str]) -> String {
+    Command::new(program)
+        .args(args)
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| {
+            String::from_utf8_lossy(&out.stdout)
+                .lines()
+                .next()
+                .map(|l| l.trim().replace('"', "'"))
+        })
+        .unwrap_or_else(|| "unknown".into())
+}
+
+/// Geometric mean of the given speedups.
+fn geomean(speedups: &[f64]) -> f64 {
+    (speedups.iter().map(|s| s.ln()).sum::<f64>() / speedups.len() as f64).exp()
 }
 
 fn main() {
@@ -242,16 +250,23 @@ fn main() {
     // full-run baseline (smoke only trims events and publisher counts).
     let fanout_sweep: &[usize] = &[1, 8, 32];
 
-    let committed_speedup = if gate {
-        read_committed_speedup("results/BENCH_perf.json")
+    let committed = if gate {
+        let committed = read_committed("results/BENCH_perf.json");
+        if committed.is_none() {
+            eprintln!(
+                "FAIL: --gate needs results/BENCH_perf.json with speedup_total and fanout1_ratio"
+            );
+            std::process::exit(1);
+        }
+        committed
     } else {
         None
     };
 
     eprintln!("# publish throughput sweep ({events_each} events/publisher, smoke: {smoke})");
     eprintln!(
-        "{:>10} {:>7} {:>16} {:>16} {:>16} {:>9}",
-        "publishers", "fanout", "locked_ev/s", "singular_ev/s", "batched_ev/s", "speedup"
+        "{:>10} {:>7} {:>16} {:>16} {:>9}",
+        "publishers", "fanout", "locked_ev/s", "snapshot_ev/s", "speedup"
     );
 
     // The attribution pass runs far fewer events than the timed arms:
@@ -262,12 +277,8 @@ fn main() {
         publishers: usize,
         fanout: usize,
         locked: f64,
-        singular: f64,
-        batched: f64,
-        /// Batched snapshot arm vs the locked baseline — the gated one.
+        snapshot: f64,
         speedup: f64,
-        /// Per-event snapshot arm vs the locked baseline — advisory.
-        singular_speedup: f64,
     }
 
     let mut rows: Vec<Row> = Vec::new();
@@ -280,10 +291,8 @@ fn main() {
     for &publishers in publisher_sweep {
         for &fanout in fanout_sweep {
             let locked = best_of(&|| measure_locked(publishers, fanout, events_each));
-            let singular = best_of(&|| measure_snapshot(publishers, fanout, events_each));
-            let batched = best_of(&|| measure_batched(publishers, fanout, events_each));
-            let speedup = batched / locked.max(1.0);
-            let singular_speedup = singular / locked.max(1.0);
+            let snapshot = best_of(&|| measure_snapshot(publishers, fanout, events_each));
+            let speedup = snapshot / locked.max(1.0);
             let stages = attribute_snapshot(publishers, fanout, attr_events);
             let deliver_share = stages
                 .iter()
@@ -291,58 +300,32 @@ fn main() {
                 .map(|s| s.share_milli)
                 .unwrap_or(0);
             eprintln!(
-                "{publishers:>10} {fanout:>7} {locked:>16.0} {singular:>16.0} {batched:>16.0} \
-                 {speedup:>8.2}x deliver={}m",
+                "{publishers:>10} {fanout:>7} {locked:>16.0} {snapshot:>16.0} {speedup:>8.2}x \
+                 deliver={}m",
                 deliver_share
             );
             rows.push(Row {
                 publishers,
                 fanout,
                 locked,
-                singular,
-                batched,
+                snapshot,
                 speedup,
-                singular_speedup,
             });
             stage_tables.push(stages);
         }
     }
 
-    // The sharded sweep: the same coalesced hot path, spread across
-    // worker threads by publisher id. Raw events/second is recorded per
-    // cell along with its scaling against the one-shard row — on a
-    // single-core host the scaling hovers near 1.0 and that is the
-    // honest answer, so `cores` is recorded beside it.
-    let shard_sweep: &[usize] = &[1, 2, 4];
-    let shard_publishers = 4usize;
-    let shard_fanout = 8usize;
-    let shard_events = if smoke { events_each / 2 } else { events_each };
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    eprintln!(
-        "# sharded sweep ({shard_publishers} publishers, fan-out {shard_fanout}, {cores} core(s))"
-    );
-    let mut shard_rows: Vec<(usize, f64, f64)> = Vec::new();
-    for &shards in shard_sweep {
-        let throughput =
-            best_of(&|| measure_sharded(shards, shard_publishers, shard_fanout, shard_events));
-        let scale = shard_rows
-            .first()
-            .map_or(1.0, |(_, one, _)| throughput / one.max(1.0));
-        eprintln!("  shards={shards}: {throughput:>12.0} ev/s  scale_vs_one_shard={scale:.2}x");
-        shard_rows.push((shards, throughput, scale));
-    }
-
     // Overall figure: geometric mean of the per-cell speedups where the
     // snapshot path is meant to win (fan-out > 1), so no single cell
     // dominates. Fan-out-1 cells carry a known, accepted gap and get
-    // their own tracked ratio instead of dragging the gated number.
+    // their own gated ratio instead of dragging the overall number.
     let gated: Vec<f64> = rows
         .iter()
         .filter(|r| r.fanout > 1)
         .map(|r| r.speedup)
         .collect();
     assert!(!gated.is_empty(), "sweep must cover fan-out > 1");
-    let speedup_total = (gated.iter().map(|s| s.ln()).sum::<f64>() / gated.len() as f64).exp();
+    let speedup_total = geomean(&gated);
     let fanout1: Vec<f64> = rows
         .iter()
         .filter(|r| r.fanout == 1)
@@ -352,22 +335,28 @@ fn main() {
         !fanout1.is_empty(),
         "sweep must exercise the fan-out-1 snapshot path"
     );
-    let fanout1_ratio = (fanout1.iter().map(|s| s.ln()).sum::<f64>() / fanout1.len() as f64).exp();
+    let fanout1_ratio = geomean(&fanout1);
     let shared = payload_sharing_proof();
-    let arena_shared = arena_sharing_proof();
     eprintln!("overall speedup (geomean, fan-out > 1): {speedup_total:.2}x");
-    eprintln!("fan-out-1 ratio (batched arm, floor {FANOUT1_FLOOR}x): {fanout1_ratio:.2}x");
+    eprintln!("fan-out-1 ratio: {fanout1_ratio:.2}x");
     eprintln!("payload buffer shared across fan-out: {shared}");
-    eprintln!("encode arena shared across a batch: {arena_shared}");
 
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let commit = command_line("git", &["describe", "--always", "--dirty", "--abbrev=12"]);
+    let rustc = command_line("rustc", &["--version"]);
+    let profile = if cfg!(debug_assertions) {
+        "debug"
+    } else {
+        "release"
+    };
     let mut json = String::new();
     json.push_str("{\n");
     let _ = writeln!(json, "  \"bench\": \"publish_throughput\",");
     let _ = writeln!(
         json,
         "  \"config\": {{\"events_per_publisher\": {events_each}, \"engine\": \"fastforward\", \
-         \"payload_bytes\": 64, \"publish_batch\": {PUBLISH_BATCH}, \"cores\": {cores}, \
-         \"smoke\": {smoke}}},"
+         \"payload_bytes\": 64, \"cores\": {cores}, \"commit\": \"{commit}\", \
+         \"rustc\": \"{rustc}\", \"profile\": \"{profile}\", \"smoke\": {smoke}}},"
     );
     json.push_str("  \"results\": [\n");
     for (i, row) in rows.iter().enumerate() {
@@ -394,41 +383,21 @@ fn main() {
             json,
             "    {{\"publishers\": {}, \"fanout\": {}, \
              \"locked_events_per_sec\": {:.0}, \
-             \"snapshot_events_per_sec\": {:.0}, \
-             \"batched_events_per_sec\": {:.0}, \"speedup\": {:.3}, \
-             \"singular_speedup\": {:.3}, \
+             \"snapshot_events_per_sec\": {:.0}, \"speedup\": {:.3}, \
              \"stages\": [{}]}}{comma}",
             row.publishers,
             row.fanout,
             row.locked,
-            row.singular,
-            row.batched,
+            row.snapshot,
             row.speedup,
-            row.singular_speedup,
             stages.join(", ")
-        );
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"multicore\": [\n");
-    for (i, (shards, throughput, scale)) in shard_rows.iter().enumerate() {
-        let comma = if i + 1 < shard_rows.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "    {{\"shards\": {shards}, \"publishers\": {shard_publishers}, \
-             \"fanout\": {shard_fanout}, \"events_per_sec\": {throughput:.0}, \
-             \"scale_vs_one_shard\": {scale:.3}}}{comma}"
         );
     }
     json.push_str("  ],\n");
     let _ = writeln!(json, "  \"speedup_total\": {speedup_total:.3},");
     let _ = writeln!(json, "  \"gate_fraction\": {GATE_FRACTION},");
     let _ = writeln!(json, "  \"fanout1_ratio\": {fanout1_ratio:.3},");
-    let _ = writeln!(json, "  \"fanout1_floor\": {FANOUT1_FLOOR},");
-    let _ = writeln!(json, "  \"payload_buffer_shared_across_fanout\": {shared},");
-    let _ = writeln!(
-        json,
-        "  \"encode_arena_shared_across_batch\": {arena_shared}"
-    );
+    let _ = writeln!(json, "  \"payload_buffer_shared_across_fanout\": {shared}");
     json.push_str("}\n");
 
     let path = std::path::Path::new("results");
@@ -444,45 +413,65 @@ fn main() {
         eprintln!("FAIL: fan-out did not share one payload buffer");
         std::process::exit(1);
     }
-    if !arena_shared {
-        eprintln!("FAIL: a coalesced batch did not share one encode arena");
-        std::process::exit(1);
-    }
-    if fanout1_ratio < FANOUT1_FLOOR {
-        eprintln!(
-            "FAIL: fan-out-1 ratio {fanout1_ratio:.2}x fell below the {FANOUT1_FLOOR}x floor \
-             (the batched hot path must amortise the per-publish cost a single subscriber \
-             cannot; losing here is a real regression)"
-        );
-        std::process::exit(1);
-    }
-    if let Some((committed, committed_scale)) = committed_speedup {
-        let like_for_like = committed_scale == events_each as u64;
-        let fraction = if like_for_like {
+    if let Some(committed) = committed {
+        let fraction = if committed.events_per_publisher == events_each as u64 {
             GATE_FRACTION
         } else {
             eprintln!(
-                "gate: committed baseline ran {committed_scale} events/publisher, this run \
-                 {events_each} — scale mismatch, gating at the relaxed \
-                 {SCALE_MISMATCH_GATE_FRACTION} fraction"
+                "gate: committed baseline ran {} events/publisher, this run {events_each} — \
+                 scale mismatch, gating at the relaxed {SCALE_MISMATCH_GATE_FRACTION} fraction",
+                committed.events_per_publisher
             );
             SCALE_MISMATCH_GATE_FRACTION
         };
-        let floor = committed * fraction;
-        if speedup_total < floor {
-            eprintln!(
-                "FAIL: speedup {speedup_total:.2}x below {fraction} × committed \
-                 {committed:.2}x = {floor:.2}x"
-            );
+        let mut failed = false;
+        for (name, fresh, base) in [
+            ("speedup", speedup_total, committed.speedup_total),
+            ("fan-out-1 ratio", fanout1_ratio, committed.fanout1_ratio),
+        ] {
+            let floor = base * fraction;
+            if fresh < floor {
+                eprintln!(
+                    "FAIL: {name} {fresh:.2}x below {fraction} × committed {base:.2}x = {floor:.2}x"
+                );
+                failed = true;
+            } else {
+                eprintln!("gate ok: {name} {fresh:.2}x ≥ {fraction} × {base:.2}x");
+            }
+        }
+        if failed {
             std::process::exit(1);
         }
-        eprintln!("gate ok: {speedup_total:.2}x ≥ {fraction} × {committed:.2}x");
     }
+}
+
+/// Releases `publishers` threads together, runs `work(p)` on thread `p`,
+/// and returns the cell's wall time over the threads' own spans.
+fn run_publishers(publishers: usize, work: impl Fn(usize) + Sync) -> Duration {
+    let barrier = Barrier::new(publishers);
+    let spans: Vec<(Instant, Instant)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..publishers)
+            .map(|p| {
+                let (barrier, work) = (&barrier, &work);
+                scope.spawn(move || {
+                    barrier.wait();
+                    let start = Instant::now();
+                    work(p);
+                    (start, Instant::now())
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("publisher thread"))
+            .collect()
+    });
+    wall_time(&spans)
 }
 
 /// One sweep cell on the baseline arm; returns events/second.
 fn measure_locked(publishers: usize, fanout: usize, events_each: usize) -> f64 {
-    let bus = Arc::new(LockedBus::new(EngineKind::FastForward));
+    let bus = LockedBus::new(EngineKind::FastForward);
     let sinks: Vec<Arc<CountingSink>> = (0..fanout)
         .map(|i| {
             let sink = Arc::new(CountingSink::default());
@@ -495,28 +484,13 @@ fn measure_locked(publishers: usize, fanout: usize, events_each: usize) -> f64 {
             sink
         })
         .collect();
-    let barrier = Arc::new(Barrier::new(publishers + 1));
-    // The scope closure returns the Instant taken at barrier release;
-    // `scope` itself returns only after every publisher joined, so the
-    // elapsed time spans exactly the publishing work.
-    let started = {
-        let bus = &bus;
-        let barrier = &barrier;
-        std::thread::scope(|scope| {
-            for p in 0..publishers {
-                scope.spawn(move || {
-                    let event = bench_event(p as u64);
-                    barrier.wait();
-                    for _ in 0..events_each {
-                        bus.publish(&event);
-                    }
-                });
-            }
-            barrier.wait();
-            Instant::now()
-        })
-    };
-    let secs = started.elapsed().as_secs_f64();
+    let secs = run_publishers(publishers, |p| {
+        let event = bench_event(p as u64);
+        for _ in 0..events_each {
+            bus.publish(&event);
+        }
+    })
+    .as_secs_f64();
     let expected = (publishers * events_each * fanout) as u64;
     assert_eq!(
         total_delivered(&sinks),
@@ -528,7 +502,7 @@ fn measure_locked(publishers: usize, fanout: usize, events_each: usize) -> f64 {
 
 /// One sweep cell on the snapshot arm; returns events/second.
 fn measure_snapshot(publishers: usize, fanout: usize, events_each: usize) -> f64 {
-    let bus = Arc::new(EventBus::new(EngineKind::FastForward));
+    let bus = EventBus::new(EngineKind::FastForward);
     let sinks: Vec<Arc<CountingSink>> = (0..fanout)
         .map(|i| {
             let sink = Arc::new(CountingSink::default());
@@ -541,135 +515,18 @@ fn measure_snapshot(publishers: usize, fanout: usize, events_each: usize) -> f64
             sink
         })
         .collect();
-    let barrier = Arc::new(Barrier::new(publishers + 1));
-    let started = {
-        let bus = &bus;
-        let barrier = &barrier;
-        std::thread::scope(|scope| {
-            for p in 0..publishers {
-                scope.spawn(move || {
-                    let event = bench_event(p as u64);
-                    barrier.wait();
-                    for _ in 0..events_each {
-                        bus.publish(event.clone()).expect("publish");
-                    }
-                });
-            }
-            barrier.wait();
-            Instant::now()
-        })
-    };
-    let secs = started.elapsed().as_secs_f64();
+    let secs = run_publishers(publishers, |p| {
+        let event = bench_event(p as u64);
+        for _ in 0..events_each {
+            bus.publish(event.clone()).expect("publish");
+        }
+    })
+    .as_secs_f64();
     let expected = (publishers * events_each * fanout) as u64;
     assert_eq!(
         total_delivered(&sinks),
         expected,
         "snapshot arm dropped deliveries"
-    );
-    (publishers * events_each) as f64 / secs
-}
-
-/// One sweep cell on the batched snapshot arm: the same publishers and
-/// subscriptions, but each thread publishes bursts of [`PUBLISH_BATCH`]
-/// events through [`EventBus::publish_batch`]; returns events/second.
-fn measure_batched(publishers: usize, fanout: usize, events_each: usize) -> f64 {
-    let bus = Arc::new(EventBus::new(EngineKind::FastForward));
-    let sinks: Vec<Arc<CountingSink>> = (0..fanout)
-        .map(|i| {
-            let sink = Arc::new(CountingSink::default());
-            bus.subscribe(
-                ServiceId::from_raw(0x100 + i as u64),
-                Filter::for_type(EVENT_TYPE),
-                Arc::clone(&sink) as Arc<dyn EventSink>,
-            )
-            .expect("subscribe");
-            sink
-        })
-        .collect();
-    let barrier = Arc::new(Barrier::new(publishers + 1));
-    let started = {
-        let bus = &bus;
-        let barrier = &barrier;
-        std::thread::scope(|scope| {
-            for p in 0..publishers {
-                scope.spawn(move || {
-                    let event = bench_event(p as u64);
-                    let burst: Vec<Event> = (0..PUBLISH_BATCH).map(|_| event.clone()).collect();
-                    barrier.wait();
-                    let mut left = events_each;
-                    while left > 0 {
-                        let n = left.min(PUBLISH_BATCH);
-                        bus.publish_batch(&burst[..n]).expect("publish batch");
-                        left -= n;
-                    }
-                });
-            }
-            barrier.wait();
-            Instant::now()
-        })
-    };
-    let secs = started.elapsed().as_secs_f64();
-    let expected = (publishers * events_each * fanout) as u64;
-    assert_eq!(
-        total_delivered(&sinks),
-        expected,
-        "batched arm dropped deliveries"
-    );
-    (publishers * events_each) as f64 / secs
-}
-
-/// One sharded sweep cell: `publishers` threads pushing through their
-/// pinned [`ShardPublisher`] handles into a `shards`-worker
-/// [`ShardedBus`]; returns events/second including the final flush.
-fn measure_sharded(shards: usize, publishers: usize, fanout: usize, events_each: usize) -> f64 {
-    let bus = Arc::new(EventBus::new(EngineKind::FastForward));
-    let sinks: Vec<Arc<CountingSink>> = (0..fanout)
-        .map(|i| {
-            let sink = Arc::new(CountingSink::default());
-            bus.subscribe(
-                ServiceId::from_raw(0x100 + i as u64),
-                Filter::for_type(EVENT_TYPE),
-                Arc::clone(&sink) as Arc<dyn EventSink>,
-            )
-            .expect("subscribe");
-            sink
-        })
-        .collect();
-    let sharded = ShardedBus::with_config(
-        Arc::clone(&bus),
-        ShardConfig {
-            shards,
-            ring_capacity: 2048,
-            max_batch: PUBLISH_BATCH,
-        },
-    );
-    let barrier = Arc::new(Barrier::new(publishers + 1));
-    let started = {
-        let barrier = &barrier;
-        std::thread::scope(|scope| {
-            for p in 0..publishers {
-                // Publisher ids 0..publishers spread round-robin over
-                // the shards (shard = id % shards).
-                let mut handle = sharded.publisher(ServiceId::from_raw(0x9000 + p as u64));
-                scope.spawn(move || {
-                    let event = bench_event(p as u64);
-                    barrier.wait();
-                    for _ in 0..events_each {
-                        handle.publish(event.clone()).expect("sharded publish");
-                    }
-                });
-            }
-            barrier.wait();
-            Instant::now()
-        })
-    };
-    sharded.flush();
-    let secs = started.elapsed().as_secs_f64();
-    let expected = (publishers * events_each * fanout) as u64;
-    assert_eq!(
-        total_delivered(&sinks),
-        expected,
-        "sharded arm dropped deliveries"
     );
     (publishers * events_each) as f64 / secs
 }
@@ -697,28 +554,17 @@ fn attribute_snapshot(publishers: usize, fanout: usize, events_each: usize) -> V
         )
         .expect("subscribe");
     }
-    let barrier = Arc::new(Barrier::new(publishers + 1));
-    {
-        let bus = &bus;
-        let barrier = &barrier;
-        std::thread::scope(|scope| {
-            for p in 0..publishers {
-                scope.spawn(move || {
-                    barrier.wait();
-                    for seq in 1..=events_each {
-                        let event = Event::builder(EVENT_TYPE)
-                            .publisher(ServiceId::from_raw(0x9000 + p as u64))
-                            .seq(seq as u64)
-                            .attr("bpm", 120i64)
-                            .payload(vec![0xEE; 64])
-                            .build();
-                        bus.publish(event).expect("publish");
-                    }
-                });
-            }
-            barrier.wait();
-        });
-    }
+    run_publishers(publishers, |p| {
+        for seq in 1..=events_each {
+            let event = Event::builder(EVENT_TYPE)
+                .publisher(ServiceId::from_raw(0x9000 + p as u64))
+                .seq(seq as u64)
+                .attr("bpm", 120i64)
+                .payload(vec![0xEE; 64])
+                .build();
+            bus.publish(event).expect("publish");
+        }
+    });
     let mut cp = CriticalPath::new();
     cp.fold_window(&ring.records());
     cp.table()
@@ -757,52 +603,5 @@ fn payload_sharing_proof() -> bool {
     sinks.iter().all(|s| {
         let events = s.events.lock();
         events.len() == 1 && events[0].payload_shared().ptr_eq(&original)
-    })
-}
-
-/// Proves one coalesced publish encodes the whole burst into a single
-/// arena: every frame's wire bytes, across every subscriber, are slices
-/// of the same backing allocation ([`SharedBytes::same_buffer`]).
-///
-/// [`SharedBytes::same_buffer`]: smc_types::SharedBytes::same_buffer
-fn arena_sharing_proof() -> bool {
-    use smc_types::SharedBytes;
-
-    #[derive(Default)]
-    struct EncodedSink {
-        frames: Mutex<Vec<SharedBytes>>,
-    }
-    impl EventSink for EncodedSink {
-        fn deliver(&self, _event: &Event) -> Result<()> {
-            Ok(())
-        }
-        fn deliver_frame(&self, frame: &DeliveryFrame<'_>) -> Result<()> {
-            self.frames.lock().push(frame.encoded());
-            Ok(())
-        }
-        fn prefers_encoded(&self) -> bool {
-            true
-        }
-    }
-    let bus = EventBus::new(EngineKind::FastForward);
-    let sinks: Vec<Arc<EncodedSink>> = (0..4)
-        .map(|i| {
-            let sink = Arc::new(EncodedSink::default());
-            bus.subscribe(
-                ServiceId::from_raw(0x100 + i as u64),
-                Filter::for_type(EVENT_TYPE),
-                Arc::clone(&sink) as Arc<dyn EventSink>,
-            )
-            .expect("subscribe");
-            sink
-        })
-        .collect();
-    let burst: Vec<Event> = (0..8).map(|p| bench_event(p as u64)).collect();
-    bus.publish_batch(&burst).expect("publish batch");
-    let first = sinks[0].frames.lock().first().cloned();
-    let Some(first) = first else { return false };
-    sinks.iter().all(|s| {
-        let frames = s.frames.lock();
-        frames.len() == 8 && frames.iter().all(|f| SharedBytes::same_buffer(f, &first))
     })
 }

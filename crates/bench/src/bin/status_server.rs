@@ -1,9 +1,8 @@
 //! Operator surface demo: a live cell under wall-clock time with a
-//! sensor publishing through it, a second feed running through the
-//! sharded multi-core front, a [`HealthMonitor`] polling the registry
-//! on a background cadence, and the [`StatusServer`] exposing
-//! `/metrics`, `/health`, `/journey`, `/tails`, `/slo` and `/shards`
-//! over plain HTTP.
+//! sensor publishing through it, a [`HealthMonitor`] polling the
+//! registry on a background cadence, and the [`StatusServer`] exposing
+//! `/metrics`, `/health`, `/journey`, `/tails` and `/slo` over plain
+//! HTTP.
 //!
 //! ```text
 //! cargo run --release -p smc-bench --bin status_server -- [--secs 10] [--smoke]
@@ -18,11 +17,10 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use smc_core::{RemoteClient, ShardedBus, SmcCell, SmcConfig};
+use smc_core::{RemoteClient, SmcCell, SmcConfig};
 use smc_discovery::{AgentConfig, DiscoveryConfig};
 use smc_health::{
-    health_event, HealthConfig, HealthMonitor, ShardGauge, StatusServer, StatusSources,
-    SupervisionStatus,
+    health_event, HealthConfig, HealthMonitor, StatusServer, StatusSources, SupervisionStatus,
 };
 use smc_policy::health_quench_policies;
 use smc_telemetry::{Registry, SloConfig, SloTracker, TraceSink, Tracer, DEFAULT_SINK_CAPACITY};
@@ -97,13 +95,6 @@ fn main() {
     let sensor = connect("demo.sensor");
     let sensor_id = sensor.local_id();
 
-    // A sharded front over the cell's bus feeds /shards: one pinned
-    // publisher pushing through a two-worker ShardedBus.
-    let sharded = ShardedBus::new(Arc::clone(cell.bus()), 2);
-    let shard_feed_id = ServiceId::from_raw(0xBEE);
-    let mut shard_feed = sharded.publisher(shard_feed_id);
-    let shard_gauges: Arc<parking_lot::Mutex<Vec<ShardGauge>>> = Arc::default();
-
     let mut monitor = HealthMonitor::new(HealthConfig::default());
     let supervision: Arc<parking_lot::Mutex<SupervisionStatus>> = Arc::default();
     let slo: Arc<parking_lot::Mutex<Vec<SloTracker>>> =
@@ -120,7 +111,6 @@ fn main() {
         // `/tails` folds the live sink's window on demand.
         tails: None,
         slo: Some(Arc::clone(&slo)),
-        shards: Some(Arc::clone(&shard_gauges)),
     };
     let shared_report = Arc::clone(&sources.health);
     let server = StatusServer::start("127.0.0.1:0", sources).expect("bind status server");
@@ -128,7 +118,7 @@ fn main() {
     eprintln!("status server listening on http://{addr}/");
     eprintln!(
         "  GET /metrics   GET /health   GET /journey?sender=<raw>&seq=<n>   \
-         GET /tails   GET /slo   GET /shards"
+         GET /tails   GET /slo"
     );
 
     let started = Instant::now();
@@ -143,14 +133,6 @@ fn main() {
         if sensor.publish_nowait(event).is_ok() && published_event_seq.is_none() {
             published_event_seq = Some(seq);
         }
-        let _ = shard_feed.publish(
-            Event::builder("demo.reading")
-                .attr("sensor", "shard-feed")
-                .attr("bpm", 70 + (seq % 20) as i64)
-                .publisher(shard_feed_id)
-                .seq(seq)
-                .build(),
-        );
         let now = clock.now_micros();
         if monitor.due(now) {
             let transitions = monitor.poll(now, &registry, Some(&sink));
@@ -167,19 +149,6 @@ fn main() {
                 let _ = cell.publish_local(health_event(t, None));
             }
             *shared_report.lock() = monitor.report();
-            *shard_gauges.lock() = sharded
-                .stats()
-                .into_iter()
-                .map(|s| ShardGauge {
-                    shard: s.shard as u64,
-                    depth: s.depth,
-                    enqueued: s.enqueued,
-                    processed: s.processed,
-                    delivered: s.delivered,
-                    batches: s.batches,
-                    publishers: s.publishers,
-                })
-                .collect();
             // Feed the SLO tracker the freshest complete journey's
             // end-to-end latency.
             let journey = sink.journey(TraceId::for_event(sensor_id, seq));
@@ -237,33 +206,17 @@ fn main() {
             eprintln!("SMOKE FAIL: /slo?json missing the tracker:\n{slo_page}");
             failures += 1;
         }
-        let shards_page = http_get(addr, "/shards");
-        if !(shards_page.starts_with("HTTP/1.1 200")
-            && shards_page.contains("\"shard\": 0")
-            && shards_page.contains("\"shard\": 1"))
-        {
-            eprintln!("SMOKE FAIL: /shards missing both shard gauges:\n{shards_page}");
-            failures += 1;
-        }
-        let one_shard = http_get(addr, &format!("/shards?shard={}", shard_feed_id.raw() % 2));
-        if !(one_shard.starts_with("HTTP/1.1 200") && one_shard.contains("\"publishers\": 1")) {
-            eprintln!("SMOKE FAIL: /shards?shard= lost the pinned publisher:\n{one_shard}");
-            failures += 1;
-        }
         eprintln!(
             "smoke: /metrics {} bytes, /health {} bytes, /journey {} bytes, \
-             /tails {} bytes, /slo {} bytes, /shards {} bytes, {failures} failures",
+             /tails {} bytes, /slo {} bytes, {failures} failures",
             metrics.len(),
             health.len(),
             journey.len(),
             tails.len(),
-            slo_page.len(),
-            shards_page.len()
+            slo_page.len()
         );
     }
 
-    drop(shard_feed);
-    drop(sharded);
     server.stop();
     sensor.shutdown();
     monitor_client.shutdown();

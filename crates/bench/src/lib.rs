@@ -220,6 +220,23 @@ pub fn stats(samples: &[Duration]) -> Stats {
     }
 }
 
+/// The wall time a set of concurrent workers took: from the earliest
+/// worker's start to the latest worker's end.
+///
+/// Each worker times its own `(start, end)`, so the window cannot begin
+/// after the work did — a clock read on a coordinating thread after a
+/// start barrier can, when the workers finish before that thread is
+/// scheduled again.
+///
+/// # Panics
+///
+/// Panics on an empty span set.
+pub fn wall_time(spans: &[(Instant, Instant)]) -> Duration {
+    let start = spans.iter().map(|s| s.0).min().expect("no worker spans");
+    let end = spans.iter().map(|s| s.1).max().expect("no worker spans");
+    end.saturating_duration_since(start)
+}
+
 /// Parses `--key value` style harness arguments with defaults.
 #[derive(Debug, Clone)]
 pub struct HarnessArgs {
@@ -272,6 +289,30 @@ mod tests {
     #[should_panic(expected = "no samples")]
     fn stats_empty_panics() {
         let _ = stats(&[]);
+    }
+
+    #[test]
+    fn wall_time_spans_earliest_start_to_latest_end() {
+        let t0 = Instant::now();
+        let at = |ms: u64| t0 + Duration::from_millis(ms);
+        // Overlapping workers: the window is the union, not any one span.
+        assert_eq!(
+            wall_time(&[(at(5), at(30)), (at(0), at(20)), (at(10), at(25))]),
+            Duration::from_millis(30)
+        );
+        // One worker finishes before another starts: the gap between
+        // them still counts, and neither span alone is the answer.
+        assert_eq!(
+            wall_time(&[(at(0), at(10)), (at(40), at(50))]),
+            Duration::from_millis(50)
+        );
+        assert_eq!(wall_time(&[(at(7), at(9))]), Duration::from_millis(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "no worker spans")]
+    fn wall_time_empty_panics() {
+        let _ = wall_time(&[]);
     }
 
     #[test]

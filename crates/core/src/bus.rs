@@ -11,13 +11,21 @@
 //!
 //! The publish path is read-only and steady-state allocation-free. All
 //! routing state — the frozen match table, the sink map, the tracer —
-//! lives in one immutable [`RouteTable`] behind a
-//! [`SnapshotCell`](smc_types::SnapshotCell): `publish` performs a single
-//! lock-free snapshot load where it used to take three mutexes. Control
-//! operations (subscribe/unsubscribe/purge/engine-swap) mutate the
-//! private [`Control`] state under one mutex and publish a fresh
-//! snapshot; a concurrent publish sees either the entire old table or
-//! the entire new one, never a mix.
+//! lives in one immutable `RouteTable` behind a [`SnapshotCell`]:
+//! `publish` performs a single lock-free snapshot load where it used to
+//! take three mutexes. Control operations (subscribe/unsubscribe/
+//! purge/engine-swap) mutate the private `Control` state under one
+//! mutex and publish a fresh snapshot; a concurrent publish sees either
+//! the entire old table or the entire new one, never a mix.
+//!
+//! # One publish path
+//!
+//! [`EventBus::publish`] is the only way an event enters the bus: one
+//! event, one match, one lazily encoded [`DeliveryFrame`] shared by every
+//! sink. The cell's ingress calls it once per event, and the bus is
+//! under 2% of an event's CPU on the end-to-end benchmark, so there is no
+//! batched or sharded variant. Batching, if it ever pays, belongs at the
+//! cell's ingress and must show its gain on an end-to-end workload.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -30,8 +38,8 @@ use smc_match::{EngineKind, MatchScratch, Matcher, RouteSnapshot};
 use smc_telemetry::{Hop, Registry, Tracer};
 use smc_transport::CpuProfile;
 use smc_types::{
-    encode_deliver, encode_deliver_arena, Error, Event, Filter, Result, ServiceId, SharedBytes,
-    SnapshotCell, Subscription, SubscriptionId, TraceId,
+    encode_deliver, Error, Event, Filter, Result, ServiceId, SnapshotCell, Subscription,
+    SubscriptionId, TraceId,
 };
 
 use crate::metrics::{register_bus_metrics, BusMetrics, MetricsSnapshot};
@@ -48,7 +56,7 @@ use crate::metrics::{register_bus_metrics, BusMetrics, MetricsSnapshot};
 pub struct DeliveryFrame<'a> {
     event: &'a Event,
     trace: TraceId,
-    encoded: OnceLock<SharedBytes>,
+    encoded: OnceLock<Arc<[u8]>>,
 }
 
 impl<'a> DeliveryFrame<'a> {
@@ -58,20 +66,6 @@ impl<'a> DeliveryFrame<'a> {
             event,
             trace,
             encoded: OnceLock::new(),
-        }
-    }
-
-    /// Creates a frame whose wire bytes were already encoded — the
-    /// batched publish path encodes a whole burst into one arena and
-    /// hands each frame its range, so [`DeliveryFrame::encoded`] never
-    /// allocates per event.
-    pub fn with_encoded(event: &'a Event, trace: TraceId, encoded: SharedBytes) -> Self {
-        let cell = OnceLock::new();
-        let _ = cell.set(encoded);
-        DeliveryFrame {
-            event,
-            trace,
-            encoded: cell,
         }
     }
 
@@ -86,12 +80,12 @@ impl<'a> DeliveryFrame<'a> {
     }
 
     /// The encoded `Packet::Deliver` frame, computed at most once per
-    /// publish (or pre-encoded by the batch arena) and shared by every
-    /// subscriber that asks.
-    pub fn encoded(&self) -> SharedBytes {
-        self.encoded
-            .get_or_init(|| SharedBytes::from(encode_deliver(self.event, self.trace)))
-            .clone()
+    /// publish and shared by every subscriber that asks.
+    pub fn encoded(&self) -> Arc<[u8]> {
+        Arc::clone(
+            self.encoded
+                .get_or_init(|| Arc::from(encode_deliver(self.event, self.trace))),
+        )
     }
 }
 
@@ -121,36 +115,6 @@ pub trait EventSink: Send + Sync {
     /// As for [`EventSink::deliver`].
     fn deliver_frame(&self, frame: &DeliveryFrame<'_>) -> Result<()> {
         self.deliver(frame.event())
-    }
-
-    /// Delivers a burst of frames destined for this sink, in order.
-    /// Returns how many were delivered.
-    ///
-    /// The default loops [`EventSink::deliver_frame`] and never errors
-    /// (per-frame failures are absorbed into the count); network-facing
-    /// sinks override it to enqueue the whole burst in one transport
-    /// batch.
-    ///
-    /// # Errors
-    ///
-    /// An error means the *whole* batch failed (e.g. a closed channel);
-    /// the bus counts every frame as a delivery failure.
-    fn deliver_batch(&self, frames: &[&DeliveryFrame<'_>]) -> Result<usize> {
-        let mut delivered = 0;
-        for frame in frames {
-            if self.deliver_frame(frame).is_ok() {
-                delivered += 1;
-            }
-        }
-        Ok(delivered)
-    }
-
-    /// Whether this sink asks for [`DeliveryFrame::encoded`] when it
-    /// receives a frame. Batched publishes eagerly arena-encode only
-    /// events routed to at least one such sink; in-process sinks keep
-    /// the encode fully lazy.
-    fn prefers_encoded(&self) -> bool {
-        false
     }
 }
 
@@ -519,214 +483,6 @@ impl EventBus {
         Ok(delivered)
     }
 
-    /// Publishes a burst of events with the batch-amortized hot path:
-    /// one route-snapshot load, one matcher scratch pass, one encode
-    /// arena, one metrics flush and one transport enqueue per subscriber
-    /// cover the whole slice. Returns total deliveries made.
-    ///
-    /// Delivery order matches slice order per subscriber, so a
-    /// publisher's FIFO guarantee is preserved.
-    ///
-    /// # Errors
-    ///
-    /// As for [`EventBus::publish`]: publishing itself cannot fail; sink
-    /// failures are counted in the metrics.
-    pub fn publish_batch(&self, events: &[Event]) -> Result<usize> {
-        self.publish_batch_inner(events, Hop::Published)
-    }
-
-    /// The coalesced variant of [`EventBus::publish_batch`] for events
-    /// whose `Published` hop was already recorded when they entered a
-    /// batching buffer: records [`Hop::BatchQueued`] instead, closing
-    /// the linger leg as wait so attribution still sums to the total.
-    pub fn publish_coalesced(&self, events: &[Event]) -> Result<usize> {
-        self.publish_batch_inner(events, Hop::BatchQueued)
-    }
-
-    fn publish_batch_inner(&self, events: &[Event], entry_hop: Hop) -> Result<usize> {
-        if events.is_empty() {
-            return Ok(0);
-        }
-        BusMetrics::add(&self.metrics.published, events.len() as u64);
-        let bytes: u64 = events.iter().map(|e| e.content_len() as u64).sum();
-        BusMetrics::add(&self.metrics.bytes_published, bytes);
-        // One lock-free snapshot load for the whole burst.
-        let routes = self.routes.load();
-        if !self.cpu.is_native() {
-            let crossings = match self.engine_kind {
-                EngineKind::Siena => 4,
-                _ => 1,
-            };
-            for event in events {
-                for _ in 0..crossings {
-                    self.cpu.charge(event.payload());
-                }
-            }
-        }
-        PUBLISH_SCRATCH.with(|cell| match cell.try_borrow_mut() {
-            Ok(mut slot) => {
-                let (scratch, targets) = &mut *slot;
-                self.fan_out_batch(&routes, events, entry_hop, scratch, targets)
-            }
-            Err(_) => self.fan_out_batch(
-                &routes,
-                events,
-                entry_hop,
-                &mut MatchScratch::new(),
-                &mut Vec::new(),
-            ),
-        })
-    }
-
-    /// Matches and delivers a whole burst: per-event match into a flat
-    /// target list, one arena encode covering every frame bound for an
-    /// encoding sink, per-subscriber grouped [`EventSink::deliver_batch`]
-    /// calls, one batched metrics flush.
-    fn fan_out_batch(
-        &self,
-        routes: &RouteTable,
-        events: &[Event],
-        entry_hop: Hop,
-        scratch: &mut MatchScratch,
-        targets: &mut Vec<ServiceId>,
-    ) -> Result<usize> {
-        struct FrameMeta {
-            event_idx: usize,
-            trace: TraceId,
-            flat: std::ops::Range<usize>,
-            wants_encoded: bool,
-        }
-        let mut flat: Vec<ServiceId> = Vec::new();
-        let mut metas: Vec<FrameMeta> = Vec::new();
-        let mut unmatched = 0u64;
-        for (event_idx, event) in events.iter().enumerate() {
-            let trace = TraceId::for_event(event.publisher(), event.seq());
-            routes.tracer.record(trace, entry_hop);
-            targets.clear();
-            routes
-                .matcher
-                .matching_subscribers_into(event, scratch, targets);
-            if targets.is_empty() {
-                unmatched += 1;
-                routes.tracer.record(
-                    trace,
-                    Hop::Dropped {
-                        reason: "unmatched",
-                    },
-                );
-                continue;
-            }
-            routes.tracer.record(trace, Hop::Matched);
-            let start = flat.len();
-            let mut wants_encoded = false;
-            for &subscriber in targets.iter() {
-                if subscriber == event.publisher() {
-                    continue;
-                }
-                if let Some(sink) = routes.sinks.get(&subscriber) {
-                    flat.push(subscriber);
-                    wants_encoded |= sink.prefers_encoded();
-                }
-            }
-            if flat.len() > start {
-                metas.push(FrameMeta {
-                    event_idx,
-                    trace,
-                    flat: start..flat.len(),
-                    wants_encoded,
-                });
-            }
-        }
-        if unmatched > 0 {
-            BusMetrics::add(&self.metrics.unmatched, unmatched);
-        }
-        if metas.is_empty() {
-            return Ok(0);
-        }
-        // One encode arena for the burst: every frame bound for an
-        // encoding sink is laid out back to back, wrapped in a single
-        // shared buffer, and sliced back out by range.
-        let mut arena = bytes::BytesMut::new();
-        let ranges: Vec<Option<(usize, usize)>> = metas
-            .iter()
-            .map(|m| {
-                m.wants_encoded
-                    .then(|| encode_deliver_arena(&events[m.event_idx], m.trace, &mut arena))
-            })
-            .collect();
-        let arena = (!arena.is_empty()).then(|| SharedBytes::from(&arena[..]));
-        let frames: Vec<DeliveryFrame<'_>> = metas
-            .iter()
-            .zip(&ranges)
-            .map(|(m, range)| match (range, &arena) {
-                (Some((start, end)), Some(arena)) => DeliveryFrame::with_encoded(
-                    &events[m.event_idx],
-                    m.trace,
-                    arena.slice(*start..*end),
-                ),
-                _ => DeliveryFrame::new(&events[m.event_idx], m.trace),
-            })
-            .collect();
-        // Group frame deliveries per subscriber, preserving event order
-        // within each group (frame index rises with event index).
-        let mut pairs: Vec<(ServiceId, usize)> = Vec::new();
-        for (frame_idx, m) in metas.iter().enumerate() {
-            for &subscriber in &flat[m.flat.clone()] {
-                pairs.push((subscriber, frame_idx));
-            }
-        }
-        pairs.sort_unstable();
-        let mut delivered = 0;
-        let mut attempted = 0u64;
-        let mut failures = 0u64;
-        let mut frame_refs: Vec<&DeliveryFrame<'_>> = Vec::new();
-        let mut i = 0;
-        while i < pairs.len() {
-            let subscriber = pairs[i].0;
-            frame_refs.clear();
-            while i < pairs.len() && pairs[i].0 == subscriber {
-                frame_refs.push(&frames[pairs[i].1]);
-                i += 1;
-            }
-            // The sink was resolved during matching; the snapshot is
-            // immutable, so the lookup cannot fail.
-            let Some(sink) = routes.sinks.get(&subscriber) else {
-                continue;
-            };
-            attempted += frame_refs.len() as u64;
-            match sink.deliver_batch(&frame_refs) {
-                Ok(n) => {
-                    delivered += n;
-                    failures += frame_refs.len() as u64 - n as u64;
-                }
-                Err(_) => {
-                    failures += frame_refs.len() as u64;
-                    for frame in &frame_refs {
-                        routes.tracer.record(
-                            frame.trace(),
-                            Hop::Dropped {
-                                reason: "delivery-failure",
-                            },
-                        );
-                    }
-                }
-            }
-        }
-        BusMetrics::add(&self.metrics.deliveries, attempted);
-        if failures > 0 {
-            BusMetrics::add(&self.metrics.delivery_failures, failures);
-        }
-        Ok(delivered)
-    }
-
-    /// The currently installed tracer. Batching publishers snapshot it
-    /// once at construction (create them *after*
-    /// [`EventBus::set_tracer`]) so recording the `Published` hop at
-    /// push time does not need a route-snapshot load per event.
-    pub fn tracer(&self) -> Tracer {
-        self.control.lock().tracer.clone()
-    }
-
     /// Returns `true` if at least one current subscription's filter
     /// overlaps `advert` — the quench test for a prospective publisher.
     pub fn has_interest(&self, advert: &Filter) -> bool {
@@ -1017,6 +773,43 @@ mod tests {
         assert_eq!(bus.next_subscription_id(), 43);
         // Restored subscriptions were not counted as new ones.
         assert_eq!(bus.metrics().subscriptions, 1);
+    }
+
+    /// One encode per publish: every network-facing sink that asks for
+    /// the wire bytes gets the same shared allocation.
+    #[test]
+    fn one_encode_shared_by_every_sink() {
+        struct EncodingSink(Arc<Mutex<Vec<Arc<[u8]>>>>);
+        impl EventSink for EncodingSink {
+            fn deliver(&self, _: &Event) -> Result<()> {
+                unreachable!("the bus hands sinks the frame")
+            }
+            fn deliver_frame(&self, frame: &DeliveryFrame<'_>) -> Result<()> {
+                self.0.lock().push(frame.encoded());
+                Ok(())
+            }
+        }
+
+        let bus = bus();
+        let held = Arc::new(Mutex::new(Vec::new()));
+        for i in 0..8u64 {
+            bus.subscribe(
+                ServiceId::from_raw(i),
+                Filter::any(),
+                Arc::new(EncodingSink(Arc::clone(&held))),
+            )
+            .unwrap();
+        }
+        let event = ev("r", 1);
+        let trace = TraceId::for_event(event.publisher(), event.seq());
+        assert_eq!(bus.publish(event.clone()).unwrap(), 8);
+        let held = held.lock();
+        assert_eq!(held.len(), 8);
+        assert_eq!(held[0].as_ref(), &encode_deliver(&event, trace)[..]);
+        assert!(
+            held.iter().all(|b| Arc::ptr_eq(b, &held[0])),
+            "every sink holds the publish's one encoded buffer"
+        );
     }
 
     #[test]

@@ -65,7 +65,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod batch;
 pub mod bootstrap;
 pub mod bus;
 pub mod client;
@@ -74,12 +73,10 @@ pub mod federation;
 pub mod metrics;
 pub mod proxy;
 pub mod quench;
-pub mod shard;
 pub mod smc;
 pub mod store;
 pub mod typed;
 
-pub use batch::BatchPublisher;
 pub use bootstrap::{CodecBuilder, ProxyFactory};
 pub use bus::{ChannelSink, DeliveryFrame, EventBus, EventSink};
 pub use client::{CommandRequest, RawDevice, RemoteClient};
@@ -92,7 +89,6 @@ pub use metrics::{
 };
 pub use proxy::{DeviceCodec, PassthroughCodec, Proxy, ProxyStats};
 pub use quench::{QuenchChange, QuenchManager};
-pub use shard::{ShardConfig, ShardPublisher, ShardStatSnapshot, ShardedBus};
 pub use smc::{ReconcileReport, SmcCell, SmcConfig};
 pub use store::{shared_store, AttributeSummary, EventStore};
 pub use typed::{EventMessage, TypedBus};

@@ -17,8 +17,7 @@ use smc_telemetry::Hop;
 use smc_transport::ReliableChannel;
 use smc_types::codec::to_bytes;
 use smc_types::{
-    Error, Event, Filter, Packet, Result, ServiceId, ServiceInfo, SharedBytes, SubscriptionId,
-    TraceId,
+    Error, Event, Filter, Packet, Result, ServiceId, ServiceInfo, SubscriptionId, TraceId,
 };
 
 use crate::bus::{DeliveryFrame, EventSink};
@@ -265,35 +264,6 @@ impl Proxy {
             .map(|_| ())
     }
 
-    /// Queues several already-encoded downlink packets for the device in
-    /// one reliable-channel batch: one out-lock acquisition and one
-    /// window pump for the whole burst, each payload enqueued by
-    /// reference count (no copy).
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Closed`] if the proxy is destroyed or the channel is
-    /// shut; journal errors propagate from the channel (already-queued
-    /// entries of the batch stay queued).
-    pub fn deliver_encoded_batch(&self, batch: Vec<(SharedBytes, TraceId)>) -> Result<()> {
-        if self.is_destroyed() {
-            return Err(Error::Closed);
-        }
-        let n = batch.len() as u64;
-        let tracer = self.channel.tracer();
-        for &(_, trace) in &batch {
-            tracer.record(trace, Hop::ProxyEnqueued);
-        }
-        self.channel.send_shared_batch(self.info.id, batch)?;
-        AtomicU64::fetch_add(&self.counters.events_downlinked, n, Ordering::Relaxed);
-        let depth = self.channel.pending(self.info.id) as u64;
-        self.counters
-            .queue_depth_hwm
-            .fetch_max(depth, Ordering::Relaxed);
-        tracer.probe_queue_depth(depth);
-        Ok(())
-    }
-
     /// A snapshot of the proxy's counters.
     pub fn stats(&self) -> ProxyStats {
         ProxyStats {
@@ -374,52 +344,6 @@ impl EventSink for Proxy {
                 Err(e)
             }
         }
-    }
-
-    /// Batched downlink: frames whose codec path is passthrough are
-    /// enqueued as one reliable-channel batch (one out-lock, one pump);
-    /// frames needing device-specific translation fall back to the
-    /// singular path, in order.
-    fn deliver_batch(&self, frames: &[&DeliveryFrame<'_>]) -> Result<usize> {
-        if self.is_destroyed() {
-            return Err(Error::Closed);
-        }
-        let mut delivered = 0;
-        let mut batch: Vec<(SharedBytes, TraceId)> = Vec::with_capacity(frames.len());
-        for frame in frames {
-            match self.codec.encode_downlink(frame.event()) {
-                Ok(None) => {
-                    batch.push((frame.encoded(), frame.trace()));
-                }
-                Ok(Some(_)) => {
-                    // Flush what we have so the device still sees event
-                    // order, then take the owned translation path.
-                    if !batch.is_empty() {
-                        let n = batch.len();
-                        self.deliver_encoded_batch(std::mem::take(&mut batch))?;
-                        delivered += n;
-                    }
-                    if self.deliver(frame.event()).is_ok() {
-                        delivered += 1;
-                    }
-                }
-                Err(_) => {
-                    AtomicU64::fetch_add(&self.counters.encode_errors, 1, Ordering::Relaxed);
-                }
-            }
-        }
-        if !batch.is_empty() {
-            let n = batch.len();
-            self.deliver_encoded_batch(batch)?;
-            delivered += n;
-        }
-        Ok(delivered)
-    }
-
-    /// Proxies relay wire bytes, so batched publishes should arena-
-    /// encode frames bound for them.
-    fn prefers_encoded(&self) -> bool {
-        true
     }
 }
 

@@ -49,7 +49,7 @@ pub use detect::{
     default_detectors, ComponentDown, DeliveryLatency, Detector, MembershipFlap, Observation,
     QueueGrowth, RetransmitStorm, SampleCtx, SloBurn, TailRegression, WalStall,
 };
-pub use http::{ShardGauge, StatusServer, StatusSources, SupervisionStatus};
+pub use http::{StatusServer, StatusSources, SupervisionStatus};
 pub use monitor::{
     health_event, ComponentStatus, HealthConfig, HealthMonitor, HealthReport, HealthTransition,
 };

@@ -20,10 +20,6 @@ use smc_types::{SharedClock, TraceId};
 pub enum Hop {
     /// The event entered the system (stamped at the publisher or bus).
     Published,
-    /// A publisher-side coalescing buffer released the event to the bus
-    /// (the dequeue half of the batching wait pair — the leg from
-    /// [`Hop::Published`] to here is pure linger in the batch buffer).
-    BatchQueued,
     /// The bus's matcher selected at least one subscriber.
     Matched,
     /// A cell-side proxy queued the event for downlink to its device.
@@ -59,7 +55,6 @@ impl Hop {
     pub fn name(&self) -> &'static str {
         match self {
             Hop::Published => "published",
-            Hop::BatchQueued => "batch-queued",
             Hop::Matched => "matched",
             Hop::ProxyEnqueued => "proxy-enqueued",
             Hop::OutQueued => "out-queued",
@@ -87,7 +82,6 @@ impl Hop {
     pub fn stage(&self) -> (&'static str, StageKind) {
         match self {
             Hop::Published => ("publish", StageKind::Service),
-            Hop::BatchQueued => ("batch-queue", StageKind::Wait),
             Hop::Matched => ("match", StageKind::Service),
             Hop::ProxyEnqueued => ("fan-out", StageKind::Service),
             Hop::OutQueued => ("enqueue", StageKind::Service),
@@ -736,31 +730,8 @@ mod tests {
         assert_eq!(Hop::WalQueued.name(), "wal-queued");
         assert_eq!(Hop::WalQueued.stage().0, "enqueue");
         assert_eq!(Hop::WalAppended.stage(), ("wal-append", StageKind::Service));
-        assert_eq!(Hop::BatchQueued.name(), "batch-queued");
-        assert_eq!(Hop::BatchQueued.stage(), ("batch-queue", StageKind::Wait));
         assert_eq!(StageKind::Wait.name(), "wait");
         assert_eq!(StageKind::Service.name(), "service");
-    }
-
-    /// A coalesced publish's linger shows up as wait, not service: the
-    /// `BatchQueued` hop fires at flush time and closes the leg opened
-    /// by `Published`, so wait + service still sums to the total.
-    #[test]
-    fn batch_linger_is_attributed_as_wait() {
-        let sink = TraceSink::with_capacity(16);
-        sink.record(tid(4), Hop::Published, 100);
-        sink.record(tid(4), Hop::BatchQueued, 140); // +40 WAIT (linger)
-        sink.record(tid(4), Hop::Matched, 150); // +10 service
-        sink.record(tid(4), Hop::Delivered, 170); // +20 service
-        let j = sink.journey(tid(4));
-        assert_eq!(j.total_micros(), 70);
-        assert_eq!(j.wait_micros(), 40, "the linger is the only wait");
-        assert_eq!(j.service_micros(), 30);
-        assert_eq!(j.wait_micros() + j.service_micros(), j.total_micros());
-        let legs = j.attribution();
-        assert_eq!(legs[1].stage, "batch-queue");
-        assert_eq!(legs[1].kind, StageKind::Wait);
-        assert_eq!(legs[1].delta_micros, 40);
     }
 
     #[test]

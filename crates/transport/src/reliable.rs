@@ -16,6 +16,13 @@
 //!   and re-acknowledged;
 //! * messages larger than the transport MTU are fragmented and
 //!   reassembled.
+//!
+//! Messages are queued one at a time through [`ReliableChannel::send`]
+//! and its variants. A payload is a shared `Arc<[u8]>`, so queueing the
+//! bus's one encoded buffer per publish costs a reference count, not a
+//! copy. There is no batch enqueue: batching, if it ever pays, belongs
+//! at the cell's ingress and must show its gain on an end-to-end
+//! workload.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -27,9 +34,7 @@ use parking_lot::Mutex;
 
 use smc_telemetry::{Hop, Tracer};
 use smc_types::codec::{from_bytes, to_bytes, MAX_COLLECTION_LEN};
-use smc_types::{
-    system_clock, Error, Result, ServiceId, SharedBytes, SharedClock, SnapshotCell, TraceId,
-};
+use smc_types::{system_clock, Error, Result, ServiceId, SharedClock, SnapshotCell, TraceId};
 
 use crate::frame::{encode_data_frame, fragment_ranges, Frame, FRAME_HEADER_LEN};
 use crate::transport::Transport;
@@ -270,10 +275,9 @@ impl Receipt {
 #[derive(Debug)]
 struct OutMessage {
     /// The whole message, shared with whoever produced it (the bus
-    /// fan-out keeps one encoded buffer per publish — or one arena per
-    /// publish *batch*, of which this is a range; enqueueing here costs
-    /// a reference count, not a copy).
-    payload: SharedBytes,
+    /// fan-out keeps one encoded buffer per publish; enqueueing here
+    /// costs a reference count, not a copy).
+    payload: Arc<[u8]>,
     /// `start..end` byte ranges of each fragment within `payload`;
     /// fragments are sliced out at (re)transmit time.
     frags: Vec<(usize, usize)>,
@@ -290,7 +294,7 @@ struct OutMessage {
 
 /// A queued message, the optional receipt to resolve on ack, and the
 /// payload's causal trace.
-type QueuedMessage = (SharedBytes, Option<Sender<Result<()>>>, TraceId);
+type QueuedMessage = (Arc<[u8]>, Option<Sender<Result<()>>>, TraceId);
 
 #[derive(Debug, Default)]
 struct PeerOut {
@@ -595,10 +599,9 @@ impl ReliableChannel {
 
     /// Queues `payload` for exactly-once, in-order delivery to `to`.
     ///
-    /// The payload may be anything convertible into a [`SharedBytes`]
-    /// view — a `Vec<u8>` or `Arc<[u8]>` works as before, and an
-    /// already-shared buffer (e.g. the bus's one-per-publish encoded
-    /// frame, or a range of a batch's encode arena) is enqueued without
+    /// The payload may be anything convertible into a shared `Arc<[u8]>`
+    /// buffer — a `Vec<u8>` works as before, and an already-shared buffer
+    /// (e.g. the bus's one-per-publish encoded frame) is enqueued without
     /// copying.
     ///
     /// Returns a [`Receipt`] resolving when the peer acknowledged every
@@ -607,7 +610,7 @@ impl ReliableChannel {
     /// # Errors
     ///
     /// [`Error::Closed`] if the channel is shut down.
-    pub fn send(&self, to: ServiceId, payload: impl Into<SharedBytes>) -> Result<Receipt> {
+    pub fn send(&self, to: ServiceId, payload: impl Into<Arc<[u8]>>) -> Result<Receipt> {
         self.send_inner(to, payload.into(), None, TraceId::NONE)
     }
 
@@ -621,62 +624,10 @@ impl ReliableChannel {
     pub fn send_traced(
         &self,
         to: ServiceId,
-        payload: impl Into<SharedBytes>,
+        payload: impl Into<Arc<[u8]>>,
         trace: TraceId,
     ) -> Result<Receipt> {
         self.send_inner(to, payload.into(), None, trace)
-    }
-
-    /// Queues a batch of already-shared payloads for `to` under **one**
-    /// out-lock acquisition and one window pump — the bus fan-out path
-    /// for a proxy that receives several events in a burst.
-    ///
-    /// Receipts come back in batch order. On a journal error the
-    /// messages enqueued before the failing one stay queued (they are
-    /// journalled); the failing one and everything after it are not
-    /// enqueued.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Closed`] if the channel is shut down; journal errors as
-    /// described above.
-    pub fn send_shared_batch(
-        &self,
-        to: ServiceId,
-        batch: Vec<(SharedBytes, TraceId)>,
-    ) -> Result<Vec<Receipt>> {
-        if self.shared.closed.load(Ordering::SeqCst) {
-            return Err(Error::Closed);
-        }
-        let count = batch.len() as u64;
-        let mut receipts = Vec::with_capacity(batch.len());
-        let mut out = self.shared.out.lock();
-        let peer = out.entry(to).or_default();
-        let tracer = self.shared.tracer.load();
-        for (payload, trace) in batch {
-            if let Some(journal) = &self.shared.journal {
-                let seq = peer.next_seq + peer.queued.len() as u64 + 1;
-                tracer.record(trace, Hop::WalQueued);
-                journal.on_enqueue(to, seq, &payload)?;
-                tracer.record(trace, Hop::WalAppended);
-            }
-            let (tx, rx) = bounded(1);
-            peer.queued.push_back((payload, Some(tx), trace));
-            tracer.record(trace, Hop::OutQueued);
-            receipts.push(Receipt { rx });
-        }
-        self.shared.stats.lock().msgs_sent += count;
-        let now = self.shared.clock.now_micros();
-        pump(
-            &self.transport,
-            self.shared.epoch,
-            &self.shared.config,
-            now,
-            to,
-            peer,
-            &tracer,
-        );
-        Ok(receipts)
     }
 
     /// The crash-recovery variant of [`ReliableChannel::send`]: queues a
@@ -701,7 +652,7 @@ impl ReliableChannel {
     fn send_inner(
         &self,
         to: ServiceId,
-        payload: SharedBytes,
+        payload: Arc<[u8]>,
         requeued_from: Option<u64>,
         trace: TraceId,
     ) -> Result<Receipt> {
@@ -753,7 +704,7 @@ impl ReliableChannel {
     pub fn send_blocking(
         &self,
         to: ServiceId,
-        payload: impl Into<SharedBytes>,
+        payload: impl Into<Arc<[u8]>>,
         timeout: Duration,
     ) -> Result<()> {
         self.send(to, payload)?.wait(timeout)

@@ -1,5 +1,5 @@
-//! Tests for the zero-copy send path: shared `Arc<[u8]>` payloads,
-//! the batch-enqueue entry point, and coalesced [`AckBatch`] handling.
+//! Tests for the zero-copy send path: shared `Arc<[u8]>` payloads and
+//! coalesced [`AckBatch`] handling.
 
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -9,7 +9,7 @@ use smc_transport::{
     ReliableConfig, SimNetwork, Transport,
 };
 use smc_types::codec::from_bytes;
-use smc_types::{Result, ServiceId, SharedBytes, TraceId};
+use smc_types::{Result, ServiceId, TraceId};
 
 const TICK: Duration = Duration::from_secs(5);
 
@@ -52,29 +52,6 @@ fn one_shared_buffer_reaches_many_peers() {
     }
 }
 
-/// The batch entry point delivers every payload in order with one lock
-/// round, and each receipt resolves.
-#[test]
-fn batch_enqueue_preserves_order_and_receipts() {
-    let net = SimNetwork::new(LinkConfig::ideal());
-    let a = ReliableChannel::new(Arc::new(net.endpoint()), fast_config());
-    let b = ReliableChannel::new(Arc::new(net.endpoint()), fast_config());
-    let batch: Vec<(SharedBytes, TraceId)> = (0..20u32)
-        .map(|i| (SharedBytes::from(i.to_le_bytes().to_vec()), TraceId::NONE))
-        .collect();
-    let receipts = a.send_shared_batch(b.local_id(), batch).unwrap();
-    assert_eq!(receipts.len(), 20);
-    let got = collect_reliable(&b, 20);
-    for (i, payload) in got.iter().enumerate() {
-        assert_eq!(payload, &(i as u32).to_le_bytes().to_vec());
-    }
-    for r in receipts {
-        r.wait(TICK).unwrap();
-    }
-    assert_eq!(a.stats().msgs_sent, 20);
-    assert_eq!(a.stats().msgs_acked, 20);
-}
-
 /// A journalling (ack-on-delivery) receiver coalesces its acks into
 /// batch frames; the sender must still see every message acknowledged —
 /// including multi-fragment ones — and exactly-once FIFO must hold.
@@ -106,13 +83,12 @@ fn coalesced_acks_complete_journaled_deliveries() {
         Vec::new(),
         Vec::new(),
     );
-    // Payloads big enough to fragment, sent as one burst so the
+    // Payloads big enough to fragment, sent back to back so the
     // receiver's in-order drain acks a run of messages at once.
     let big = a.transport().max_datagram() * 3;
-    let batch: Vec<(SharedBytes, TraceId)> = (0..10u8)
-        .map(|i| (SharedBytes::from(vec![i; big]), TraceId::NONE))
+    let receipts: Vec<_> = (0..10u8)
+        .map(|i| a.send(b.local_id(), vec![i; big]).unwrap())
         .collect();
-    let receipts = a.send_shared_batch(b.local_id(), batch).unwrap();
     let got = collect_reliable(&b, 10);
     for (i, payload) in got.iter().enumerate() {
         assert_eq!(payload.len(), big);
@@ -121,6 +97,7 @@ fn coalesced_acks_complete_journaled_deliveries() {
     for r in receipts {
         r.wait(TICK).unwrap();
     }
+    assert_eq!(a.stats().msgs_sent, 10);
     assert_eq!(a.stats().msgs_acked, 10);
 }
 
