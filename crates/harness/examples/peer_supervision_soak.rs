@@ -18,7 +18,7 @@ use std::fmt::Write as _;
 use std::time::Duration;
 
 use smc_harness::{
-    run_peer, run_with_options, ChaosOp, CoreComponent, HealthOptions, RunOptions, Scenario,
+    run_with_options, ChaosOp, CoreComponent, HealthOptions, PeerConfig, RunOptions, Scenario,
     ScriptedOp, SupervisionOptions,
 };
 
@@ -55,7 +55,14 @@ fn main() {
 
     for seed in 9_500..9_500 + seeds {
         let scenario = Scenario::random_peer(seed, 3, Duration::from_secs(secs), ops);
-        let report = run_peer(&scenario);
+        let report = run_with_options(
+            &scenario,
+            RunOptions {
+                supervision: Some(SupervisionOptions::default()),
+                peer: Some(PeerConfig::default()),
+                ..RunOptions::default()
+            },
+        );
         let violation = report.oracle.violation().is_some();
         let converged = report.converged();
         if violation {
@@ -168,7 +175,7 @@ fn main() {
             ..RunOptions::default()
         },
     );
-    let dumped = wedge_report
+    let dumped = wedge_report.cells[0]
         .health
         .as_ref()
         .and_then(|h| h.dumped_to.as_ref())

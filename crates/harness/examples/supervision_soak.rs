@@ -63,32 +63,33 @@ fn main() {
                 ..RunOptions::default()
             },
         );
-        let sup = report.supervision.as_ref().expect("supervision enabled");
+        let cell = &report.cells[0];
+        let sup = cell.supervision.as_ref().expect("supervision enabled");
         let violation = report.oracle.violation().is_some();
-        let converged = sup.converged();
+        let converged = cell.converged();
         if violation {
             violations += 1;
         }
         if !converged {
             unconverged += 1;
         }
-        all_ttr.extend(&sup.report.ttr_micros);
+        all_ttr.extend(&sup.ttr_micros);
         eprintln!(
             "seed {seed}: restarts={} escalations={} reconcile_repairs={} mean_ttr={}µs converged={converged} violation={violation}",
-            sup.report.restarts,
-            sup.report.escalations,
-            sup.report.reconcile_repairs,
-            sup.report.mean_ttr_micros(),
+            sup.restarts,
+            sup.escalations,
+            sup.reconcile_repairs,
+            sup.mean_ttr_micros(),
         );
         results.push(SeedResult {
             seed,
-            restarts: sup.report.restarts,
-            escalations: sup.report.escalations,
-            reconcile_repairs: sup.report.reconcile_repairs,
-            policy_restarts: sup.policy_restarts,
+            restarts: sup.restarts,
+            escalations: sup.escalations,
+            reconcile_repairs: sup.reconcile_repairs,
+            policy_restarts: cell.policy_restarts,
             core_reboots: report.core_recoveries,
-            missed_ack_interrupts: sup.missed_ack_interrupts,
-            ttr_micros: sup.report.ttr_micros.clone(),
+            missed_ack_interrupts: cell.missed_ack_interrupts,
+            ttr_micros: sup.ttr_micros.clone(),
             converged,
             violation,
         });
@@ -183,7 +184,7 @@ fn main() {
             ..RunOptions::default()
         },
     );
-    let dumped = crash_report
+    let dumped = crash_report.cells[0]
         .health
         .as_ref()
         .and_then(|h| h.dumped_to.as_ref())

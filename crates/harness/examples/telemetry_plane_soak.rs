@@ -21,7 +21,9 @@
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
-use smc_harness::{run_peer_with_options, ChaosOp, PeerOptions, Scenario, ScriptedOp};
+use smc_harness::{
+    run_with_options, ChaosOp, PeerConfig, RunOptions, Scenario, ScriptedOp, SupervisionOptions,
+};
 
 const JOURNEY: [&str; 5] = [
     "lease-lapse",
@@ -63,6 +65,15 @@ fn scenario_for(seed: u64, secs: u64) -> Scenario {
     scenario.sorted()
 }
 
+/// The two-cell world with peer supervision and the telemetry plane off.
+fn two_cells() -> RunOptions {
+    RunOptions {
+        supervision: Some(SupervisionOptions::default()),
+        peer: Some(PeerConfig::default()),
+        ..RunOptions::default()
+    }
+}
+
 fn main() {
     let mut args = std::env::args().skip(1);
     let mut next = |default: u64| -> u64 {
@@ -81,15 +92,15 @@ fn main() {
         let scenario = scenario_for(seed, secs);
 
         let started = Instant::now();
-        let baseline = run_peer_with_options(&scenario, PeerOptions::default());
+        let baseline = run_with_options(&scenario, two_cells());
         let baseline_micros = started.elapsed().as_micros() as u64;
 
         let started = Instant::now();
-        let report = run_peer_with_options(
+        let report = run_with_options(
             &scenario,
-            PeerOptions {
+            RunOptions {
                 telemetry: Some(Default::default()),
-                ..PeerOptions::default()
+                ..two_cells()
             },
         );
         let plane_micros = started.elapsed().as_micros() as u64;

@@ -32,19 +32,17 @@
 #![warn(missing_docs)]
 
 mod oracle;
-mod peer_world;
+mod plane;
 mod scenario;
 mod world;
 
 pub use oracle::{DeliveryOracle, OracleViolation, TraceEvent, ViolationKind};
-pub use peer_world::{
-    run_peer, run_peer_with_options, CellReport, PeerOptions, PeerRunReport, TelemetryPlaneOptions,
-    TelemetryPlaneReport,
-};
+pub use plane::{TelemetryPlaneOptions, TelemetryPlaneReport};
 pub use scenario::{
     shrink_scenario, ChaosOp, CoreComponent, CorruptTarget, LinkProfileKind, Scenario, ScriptedOp,
 };
+pub use smc_health::PeerConfig;
 pub use world::{
-    default_discovery, default_reliable, run, run_with, run_with_backend, run_with_options,
-    HealthOptions, HealthOutcome, RunOptions, RunReport, SupervisionOptions, SupervisionOutcome,
+    default_discovery, default_reliable, run, run_with_options, CellReport, HealthOptions,
+    HealthOutcome, RunOptions, RunReport, SupervisionOptions,
 };

@@ -4,7 +4,7 @@
 use std::time::{Duration, Instant};
 
 use smc_harness::{
-    run, run_with, run_with_options, ChaosOp, RunOptions, Scenario, ScriptedOp, ViolationKind,
+    run, run_with_options, ChaosOp, RunOptions, Scenario, ScriptedOp, ViolationKind,
 };
 use smc_telemetry::Hop;
 use smc_transport::ReliableConfig;
@@ -149,7 +149,12 @@ fn crash_restart_family_stays_safe() {
         report.times_joined(crashed) >= 2,
         "the crashed node must rejoin after restarting"
     );
-    // The restarted node kept publishing under the same id.
+    // Pre-crash traffic alone meets this. The restarted node is
+    // readmitted but never becomes a member again, so it never publishes
+    // after the restart: its channel adopts discovery's stream at
+    // sequence 1 while discovery continues at 2 or later, and the join
+    // response waits behind a gap nobody retransmits (a known liveness
+    // defect in `ReliableChannel::handle_data`).
     assert!(report.oracle.delivered(crashed) > 0);
 }
 
@@ -193,7 +198,13 @@ fn broken_channel_config_fails_the_oracle() {
         dedup: false,
         ..ReliableConfig::default()
     };
-    let report = run_with(&scenario.sorted(), broken, smc_harness::default_discovery());
+    let report = run_with_options(
+        &scenario.sorted(),
+        RunOptions {
+            reliable: broken,
+            ..RunOptions::default()
+        },
+    );
     let violation = report
         .oracle
         .violation()

@@ -6,9 +6,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use smc_harness::{
-    default_discovery, run, run_with, run_with_backend, ChaosOp, Scenario, ScriptedOp,
-};
+use smc_harness::{run, run_with_options, ChaosOp, RunOptions, Scenario, ScriptedOp};
 use smc_transport::ReliableConfig;
 use smc_wal::NoopBackend;
 
@@ -20,10 +18,13 @@ use smc_wal::NoopBackend;
 /// default window of 64 an amnesiac core simply wedges every low-seq
 /// stream, which is a quieter disaster than the duplicate this test
 /// exists to surface.
-fn teeth_reliable() -> ReliableConfig {
-    ReliableConfig {
-        window: 1,
-        ..ReliableConfig::default()
+fn teeth() -> RunOptions {
+    RunOptions {
+        reliable: ReliableConfig {
+            window: 1,
+            ..ReliableConfig::default()
+        },
+        ..RunOptions::default()
     }
 }
 
@@ -63,7 +64,7 @@ const TEETH_SEED: u64 = 1;
 #[test]
 fn core_crash_recovers_exactly_once_from_the_wal() {
     let scenario = core_crash_scenario(TEETH_SEED);
-    let report = run_with(&scenario, teeth_reliable(), default_discovery());
+    let report = run_with_options(&scenario, teeth());
     report.assert_clean();
     assert_eq!(report.core_recoveries, 1, "the core restarted once");
     assert!(report.retransmits > 0, "the outage forced retransmissions");
@@ -72,16 +73,8 @@ fn core_crash_recovers_exactly_once_from_the_wal() {
 
 #[test]
 fn core_crash_runs_are_deterministic() {
-    let a = run_with(
-        &core_crash_scenario(TEETH_SEED),
-        teeth_reliable(),
-        default_discovery(),
-    );
-    let b = run_with(
-        &core_crash_scenario(TEETH_SEED),
-        teeth_reliable(),
-        default_discovery(),
-    );
+    let a = run_with_options(&core_crash_scenario(TEETH_SEED), teeth());
+    let b = run_with_options(&core_crash_scenario(TEETH_SEED), teeth());
     assert_eq!(
         a.trace_text(),
         b.trace_text(),
@@ -96,11 +89,12 @@ fn noop_backend_loses_the_guarantee() {
     // frame the old incarnation already delivered is delivered again —
     // the violation the WAL exists to prevent.
     let scenario = core_crash_scenario(TEETH_SEED);
-    let report = run_with_backend(
+    let report = run_with_options(
         &scenario,
-        teeth_reliable(),
-        default_discovery(),
-        Arc::new(NoopBackend),
+        RunOptions {
+            backend: Arc::new(NoopBackend),
+            ..teeth()
+        },
     );
     let violation = report
         .oracle
@@ -134,13 +128,14 @@ fn random_core_crash_family_stays_safe() {
 fn scan_for_teeth_seed() {
     for seed in 1..=40u64 {
         let scenario = core_crash_scenario(seed);
-        let noop = run_with_backend(
+        let noop = run_with_options(
             &scenario,
-            teeth_reliable(),
-            default_discovery(),
-            Arc::new(NoopBackend),
+            RunOptions {
+                backend: Arc::new(NoopBackend),
+                ..teeth()
+            },
         );
-        let wal = run_with(&scenario, teeth_reliable(), default_discovery());
+        let wal = run_with_options(&scenario, teeth());
         let wal_clean = wal.oracle.violation().is_none();
         println!(
             "seed {seed}: noop violation={} wal clean={}",

@@ -11,9 +11,21 @@
 use std::time::Duration;
 
 use smc_harness::{
-    run_peer, run_with_options, ChaosOp, CoreComponent, RunOptions, Scenario, ScriptedOp,
-    SupervisionOptions,
+    run_with_options, ChaosOp, CoreComponent, PeerConfig, RunOptions, RunReport, Scenario,
+    ScriptedOp, SupervisionOptions,
 };
+
+/// Runs `scenario` in the two-cell world with peer supervision.
+fn run_pair(scenario: &Scenario) -> RunReport {
+    run_with_options(
+        scenario,
+        RunOptions {
+            supervision: Some(SupervisionOptions::default()),
+            peer: Some(PeerConfig::default()),
+            ..RunOptions::default()
+        },
+    )
+}
 
 fn kill_sink_wedged_at(secs: u64) -> ScriptedOp {
     ScriptedOp {
@@ -48,8 +60,10 @@ fn dead_supervisor_strands_the_outage_without_a_sibling() {
         },
     );
     report.assert_clean();
-    let sup = report.supervision.as_ref().expect("supervision was on");
-    assert!(!sup.supervisor_alive, "the supervisor stayed dead");
+    assert!(
+        !report.cells[0].supervisor_alive,
+        "the supervisor stayed dead"
+    );
     assert!(
         !report.all_delivered(),
         "a dead supervisor plus a wedged sink must strand publishes"
@@ -70,7 +84,7 @@ fn sibling_adopts_a_dead_supervisor_mid_outage_and_completes_the_repair() {
     let mut scenario = Scenario::quiet(71, 2, Duration::from_secs(16));
     scenario.ops.push(kill_sink_wedged_at(4));
     scenario.ops.push(kill_supervisor_at(5, 0));
-    let report = run_peer(&scenario.sorted());
+    let report = run_pair(&scenario.sorted());
     report.assert_clean();
     let ward = report.cell(1);
     let adopter = report.cell(2);
@@ -105,8 +119,8 @@ fn sibling_adopts_a_dead_supervisor_mid_outage_and_completes_the_repair() {
     assert!(
         report.converged(),
         "both cells ended healthy: {:?} / {:?}",
-        ward.report.unresolved,
-        adopter.report.unresolved
+        ward.supervision,
+        adopter.supervision
     );
     assert!(
         report.all_delivered(),
@@ -122,8 +136,8 @@ fn peer_runs_are_deterministic() {
     scenario.ops.push(kill_sink_wedged_at(4));
     scenario.ops.push(kill_supervisor_at(5, 0));
     let scenario = scenario.sorted();
-    let a = run_peer(&scenario);
-    let b = run_peer(&scenario);
+    let a = run_pair(&scenario);
+    let b = run_pair(&scenario);
     assert_eq!(
         a.trace_text(),
         b.trace_text(),
@@ -141,7 +155,7 @@ fn outage_after_supervisor_death_is_detected_and_repaired_remotely() {
     let mut scenario = Scenario::quiet(73, 2, Duration::from_secs(14));
     scenario.ops.push(kill_supervisor_at(1, 0));
     scenario.ops.push(kill_sink_wedged_at(6));
-    let report = run_peer(&scenario.sorted());
+    let report = run_pair(&scenario.sorted());
     report.assert_clean();
     let ward = report.cell(1);
     let adopter = report.cell(2);
@@ -171,7 +185,7 @@ fn partition_triggers_false_adoption_then_clean_release() {
             duration: Duration::from_secs(2),
         },
     });
-    let report = run_peer(&scenario.sorted());
+    let report = run_pair(&scenario.sorted());
     report.assert_clean();
     let adoptions: u64 = report.cells.iter().map(|c| c.peer.adoptions).sum();
     let releases: u64 = report.cells.iter().map(|c| c.peer.releases).sum();
@@ -210,7 +224,7 @@ fn unreconciled_cell_defers_checkpoints_until_wire_reconcile_lands() {
             duration: Duration::from_secs(5),
         },
     });
-    let report = run_peer(&scenario.sorted());
+    let report = run_pair(&scenario.sorted());
     report.assert_clean();
     let ward = report.cell(1);
     assert!(
@@ -236,7 +250,7 @@ fn seeded_peer_sweep_always_reconverges() {
     let mut revivals = 0u64;
     for seed in 9500..9506u64 {
         let scenario = Scenario::random_peer(seed, 3, Duration::from_secs(24), 3);
-        let report = run_peer(&scenario);
+        let report = run_pair(&scenario);
         report.assert_clean();
         assert!(
             report.converged(),
@@ -252,4 +266,33 @@ fn seeded_peer_sweep_always_reconverges() {
     }
     assert!(adoptions >= 1, "the sweep exercised adoption");
     assert!(revivals >= 1, "the sweep exercised remote revival");
+}
+
+#[test]
+fn out_of_range_cell_indices_are_recorded_and_ignored() {
+    // Only cells 0 and 1 exist: a script naming cell 5 records the fault
+    // and touches nothing, in every world.
+    let mut scenario = Scenario::quiet(76, 2, Duration::from_secs(8));
+    scenario.ops.push(kill_supervisor_at(2, 5));
+    scenario.ops.push(ScriptedOp {
+        at: Duration::from_secs(3),
+        op: ChaosOp::PartitionCell {
+            cell: 5,
+            duration: Duration::from_secs(2),
+        },
+    });
+    let report = run_pair(&scenario.sorted());
+    report.assert_clean();
+    let trace = report.trace_text();
+    assert!(trace.contains("cell5 supervisor killed (none running)"));
+    assert!(trace.contains("cell5 partitioned from siblings"));
+    for cell in &report.cells {
+        assert!(
+            cell.supervisor_alive,
+            "cell {} kept its supervisor",
+            cell.member_id
+        );
+        assert_eq!(cell.peer.adoptions, 0, "no lease ever lapsed");
+    }
+    assert!(report.converged() && report.all_delivered());
 }

@@ -8,7 +8,7 @@
 use std::time::Duration;
 
 use smc_harness::{
-    run, run_peer, run_with_options, HealthOptions, RunOptions, Scenario, SupervisionOptions,
+    run, run_with_options, HealthOptions, PeerConfig, RunOptions, Scenario, SupervisionOptions,
 };
 
 fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -74,7 +74,14 @@ fn two_cell_peer_traces_are_pinned() {
         (9500, 2886, "9e7298543c51bfad"),
         (9501, 2886, "b5d5e5bfbc92b06c"),
     ] {
-        let report = run_peer(&Scenario::random_peer(seed, 3, Duration::from_secs(24), 3));
+        let report = run_with_options(
+            &Scenario::random_peer(seed, 3, Duration::from_secs(24), 3),
+            RunOptions {
+                supervision: Some(SupervisionOptions::default()),
+                peer: Some(PeerConfig::default()),
+                ..RunOptions::default()
+            },
+        );
         assert_eq!(
             pin(&report.trace_text(), |l| !is_fault(l)),
             (lines, digest.to_string()),

@@ -9,7 +9,7 @@ use std::time::Duration;
 
 use proptest::{proptest, ProptestConfig};
 use smc_harness::{
-    default_discovery, run, run_with, shrink_scenario, ChaosOp, Scenario, ScriptedOp,
+    run, run_with_options, shrink_scenario, ChaosOp, RunOptions, Scenario, ScriptedOp,
 };
 use smc_transport::ReliableConfig;
 
@@ -105,10 +105,16 @@ fn shrinker_minimizes_a_failing_script() {
         ..ReliableConfig::default()
     };
     let fails = |s: &Scenario| {
-        run_with(s, broken.clone(), default_discovery())
-            .oracle
-            .violation()
-            .is_some()
+        run_with_options(
+            s,
+            RunOptions {
+                reliable: broken.clone(),
+                ..RunOptions::default()
+            },
+        )
+        .oracle
+        .violation()
+        .is_some()
     };
     assert!(
         fails(&scenario),
@@ -136,7 +142,13 @@ fn shrinker_minimizes_a_failing_script() {
         "the run should have been shortened"
     );
 
-    let report = run_with(&minimal, broken, default_discovery());
+    let report = run_with_options(
+        &minimal,
+        RunOptions {
+            reliable: broken,
+            ..RunOptions::default()
+        },
+    );
     let violation = report
         .oracle
         .violation()

@@ -47,7 +47,7 @@ fn killed_sink_stays_down_without_supervision() {
         !report.all_delivered(),
         "an unsupervised sink kill must strand post-kill publishes"
     );
-    assert!(report.supervision.is_none());
+    assert!(report.cells[0].supervision.is_none());
 }
 
 #[test]
@@ -60,20 +60,17 @@ fn killed_sink_is_repaired_with_exactly_once_across_the_outage() {
     scenario.ops.push(kill_at(5, CoreComponent::Sink, false));
     let report = run_with_options(&scenario.sorted(), supervised());
     report.assert_clean();
-    let sup = report.supervision.as_ref().expect("supervision was on");
+    let cell = &report.cells[0];
+    let sup = cell.supervision.as_ref().expect("supervision was on");
+    assert!(cell.converged(), "open episodes: {:?}", sup.unresolved);
+    assert!(sup.restarts >= 1, "the supervisor issued a restart");
+    assert_eq!(sup.escalations, 0, "no escalation for a clean kill");
     assert!(
-        sup.converged(),
-        "open episodes: {:?}",
-        sup.report.unresolved
-    );
-    assert!(sup.report.restarts >= 1, "the supervisor issued a restart");
-    assert_eq!(sup.report.escalations, 0, "no escalation for a clean kill");
-    assert!(
-        !sup.report.ttr_micros.is_empty(),
+        !sup.ttr_micros.is_empty(),
         "the episode closed with a time-to-repair"
     );
     assert!(
-        sup.policy_restarts >= 1,
+        cell.policy_restarts >= 1,
         "the built-in restart obligation saw the failure"
     );
     assert!(
@@ -92,17 +89,14 @@ fn killed_discovery_is_restarted_from_durable_truth() {
         .push(kill_at(5, CoreComponent::Discovery, false));
     let report = run_with_options(&scenario.sorted(), supervised());
     report.assert_clean();
-    let sup = report.supervision.as_ref().expect("supervision was on");
+    let cell = &report.cells[0];
+    let sup = cell.supervision.as_ref().expect("supervision was on");
+    assert!(cell.converged(), "open episodes: {:?}", sup.unresolved);
+    assert!(sup.restarts >= 1);
     assert!(
-        sup.converged(),
-        "open episodes: {:?}",
-        sup.report.unresolved
-    );
-    assert!(sup.report.restarts >= 1);
-    assert!(
-        sup.repairs.iter().any(|(_, r)| r.contains("discovery")),
+        cell.repairs.iter().any(|(_, r)| r.contains("discovery")),
         "repair log names discovery: {:?}",
-        sup.repairs
+        cell.repairs
     );
     // The restarted table was rebuilt from the WAL, not re-learned:
     // nobody had to re-join, so each device joined exactly once.
@@ -121,25 +115,22 @@ fn wedged_component_escalates_to_a_core_reboot() {
     scenario.ops.push(kill_at(4, CoreComponent::Sink, true));
     let report = run_with_options(&scenario.sorted(), supervised());
     report.assert_clean();
-    let sup = report.supervision.as_ref().expect("supervision was on");
+    let cell = &report.cells[0];
+    let sup = cell.supervision.as_ref().expect("supervision was on");
+    assert!(cell.converged(), "open episodes: {:?}", sup.unresolved);
     assert!(
-        sup.converged(),
-        "open episodes: {:?}",
-        sup.report.unresolved
-    );
-    assert!(
-        sup.report.escalations >= 1,
+        sup.escalations >= 1,
         "restart exhaustion escalated: {:?}",
-        sup.report.log
+        sup.log
     );
     assert!(
         report.core_recoveries >= 1,
         "escalation rebooted the core from the WAL"
     );
     assert!(
-        sup.repairs.iter().any(|(_, r)| r.contains("wedged")),
+        cell.repairs.iter().any(|(_, r)| r.contains("wedged")),
         "the refused restarts are on record: {:?}",
-        sup.repairs
+        cell.repairs
     );
 }
 
@@ -160,9 +151,10 @@ fn corrupted_views_are_healed_by_reconcile() {
         .push(corrupt_at(6, CorruptTarget::DiscoveryMember { node: 1 }));
     let report = run_with_options(&scenario.sorted(), supervised());
     report.assert_clean();
-    let sup = report.supervision.as_ref().expect("supervision was on");
-    assert!(sup.reconciles > 0, "reconcile passes ran on cadence");
-    let fixes: Vec<&str> = sup
+    let cell = &report.cells[0];
+    let sup = cell.supervision.as_ref().expect("supervision was on");
+    assert!(cell.reconciles > 0, "reconcile passes ran on cadence");
+    let fixes: Vec<&str> = cell
         .reconcile_fixes
         .iter()
         .map(|(_, f)| f.as_str())
@@ -180,8 +172,8 @@ fn corrupted_views_are_healed_by_reconcile() {
         "discovery table repaired: {fixes:?}"
     );
     assert_eq!(
-        sup.report.reconcile_repairs,
-        sup.reconcile_fixes.len() as u64,
+        sup.reconcile_repairs,
+        cell.reconcile_fixes.len() as u64,
         "the supervisor's report books every fix"
     );
     // The corrupted window filtered node 0's traffic (a legal gap); once
@@ -204,14 +196,15 @@ fn seeded_kill_and_corrupt_sweep_always_reconverges() {
         let scenario = Scenario::random_supervision(seed, 3, Duration::from_secs(20), 5);
         let report = run_with_options(&scenario, supervised());
         report.assert_clean();
-        let sup = report.supervision.as_ref().expect("supervision was on");
+        let cell = &report.cells[0];
+        let sup = cell.supervision.as_ref().expect("supervision was on");
         assert!(
-            sup.converged(),
+            cell.converged(),
             "seed {seed} left open episodes: {:?}",
-            sup.report.unresolved
+            sup.unresolved
         );
-        repairs += sup.report.restarts + sup.report.escalations;
-        fixes += sup.report.reconcile_repairs;
+        repairs += sup.restarts + sup.escalations;
+        fixes += sup.reconcile_repairs;
     }
     assert!(repairs > 0, "the sweep exercised the repair path");
     assert!(fixes > 0, "the sweep exercised the reconcile path");

@@ -11,7 +11,9 @@
 
 use std::time::Duration;
 
-use smc_harness::{run_peer_with_options, ChaosOp, PeerOptions, Scenario, ScriptedOp};
+use smc_harness::{
+    run_with_options, ChaosOp, PeerConfig, RunOptions, Scenario, ScriptedOp, SupervisionOptions,
+};
 
 /// The five legs of a complete remote-revival journey, in virtual-time
 /// order. The first four are recorded by the adopter, the last by the
@@ -40,16 +42,18 @@ fn revival_under_partition(seed: u64) -> Scenario {
     scenario.sorted()
 }
 
-fn telemetry_on() -> PeerOptions {
-    PeerOptions {
+fn telemetry_on() -> RunOptions {
+    RunOptions {
+        supervision: Some(SupervisionOptions::default()),
+        peer: Some(PeerConfig::default()),
         telemetry: Some(Default::default()),
-        ..PeerOptions::default()
+        ..RunOptions::default()
     }
 }
 
 #[test]
 fn stitched_journey_survives_supervisor_death_and_partition() {
-    let report = run_peer_with_options(&revival_under_partition(81), telemetry_on());
+    let report = run_with_options(&revival_under_partition(81), telemetry_on());
     report.assert_clean();
     assert!(
         report.converged() && report.all_delivered(),
@@ -109,7 +113,7 @@ fn stitched_journey_survives_supervisor_death_and_partition() {
 
 #[test]
 fn aggregation_lag_is_bounded_by_the_partition() {
-    let report = run_peer_with_options(&revival_under_partition(81), telemetry_on());
+    let report = run_with_options(&revival_under_partition(81), telemetry_on());
     let tel = report.telemetry.as_ref().expect("telemetry plane was on");
     // Off-partition exports land within one plane step (the telemetry
     // channels deliberately step on a coarse 100ms cadence); only the
@@ -143,7 +147,7 @@ fn aggregation_lag_is_bounded_by_the_partition() {
 
 #[test]
 fn ward_rollup_and_slo_series_are_present() {
-    let report = run_peer_with_options(&revival_under_partition(81), telemetry_on());
+    let report = run_with_options(&revival_under_partition(81), telemetry_on());
     let tel = report.telemetry.as_ref().expect("telemetry plane was on");
     let samples = tel.ward.registry().gather();
     let has = |name: &str, cell: &str| {
@@ -190,8 +194,8 @@ fn ward_rollup_and_slo_series_are_present() {
 
 #[test]
 fn telemetry_runs_are_deterministic() {
-    let a = run_peer_with_options(&revival_under_partition(82), telemetry_on());
-    let b = run_peer_with_options(&revival_under_partition(82), telemetry_on());
+    let a = run_with_options(&revival_under_partition(82), telemetry_on());
+    let b = run_with_options(&revival_under_partition(82), telemetry_on());
     assert_eq!(
         a.trace_text(),
         b.trace_text(),
@@ -206,15 +210,4 @@ fn telemetry_runs_are_deterministic() {
         wb.render_text(),
         "the folded ward view is deterministic too"
     );
-}
-
-#[test]
-fn plane_off_stays_byte_identical_to_the_seed_world() {
-    // The opt-in guarantee: PeerOptions::default() runs the exact same
-    // world as before the telemetry plane existed.
-    let scenario = revival_under_partition(83);
-    let with_default = smc_harness::run_peer(&scenario);
-    let with_explicit_none = run_peer_with_options(&scenario, PeerOptions::default());
-    assert!(with_default.telemetry.is_none());
-    assert_eq!(with_default.trace_text(), with_explicit_none.trace_text());
 }
