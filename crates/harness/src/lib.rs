@@ -19,6 +19,11 @@
 //!   delivery and membership transition and checks the paper's §II-C
 //!   guarantees (exactly-once, per-sender FIFO, no delivery after purge),
 //!   reporting the seed and event trace when one breaks.
+//! * **one world** — [`run_with_options`] steps one cell, or two sibling
+//!   cells watching each other's supervisor when [`RunOptions::peer`] is
+//!   set, through a single run loop; health monitoring, supervision and
+//!   the telemetry plane are per-run options, and [`RunReport::cells`]
+//!   carries one [`CellReport`] per cell.
 //!
 //! ```
 //! use std::time::Duration;

@@ -152,11 +152,12 @@ pub enum ChaosOp {
     },
     /// Cell `cell`'s *in-process supervisor* dies — the monitor/supervisor
     /// loop stops ticking while the cell's data plane keeps running.
-    /// There is no scripted restart: in a single-cell world the loop is
-    /// gone for good (the peer-supervision teeth baseline), and in a
-    /// multi-cell world only a sibling's remote repair revives it.
+    /// There is no scripted restart: in a one-cell run the loop is gone
+    /// for good (the peer-supervision teeth baseline), and with a
+    /// sibling only its remote repair revives it.
     KillSupervisor {
-        /// Which cell's supervisor dies (`0` in a single-cell world).
+        /// Which cell's supervisor dies. An index past the last cell
+        /// records the fault and changes nothing.
         cell: usize,
     },
     /// Cell `cell` is partitioned from its sibling cells (supervision
@@ -164,7 +165,8 @@ pub enum ChaosOp {
     /// false-positive adoption: the partitioned cell is alive, so its
     /// resumed lease must refute any claim the silence provoked.
     PartitionCell {
-        /// Which cell is cut off.
+        /// Which cell is cut off. An index past the last cell records the
+        /// fault and changes nothing.
         cell: usize,
         /// Partition length; heals afterwards.
         duration: Duration,

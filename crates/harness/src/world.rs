@@ -1327,15 +1327,88 @@ impl Cell {
             Act::KillSupervisor(_) | Act::CellPartition(..) => {
                 unreachable!("cell-naming acts are routed by the run loop")
             }
-            _ => {
-                if let Some(dev) = self.devices.get_mut(node) {
-                    let interrupt = self.sup.as_ref().map(|s| &s.interrupt_line);
-                    let endpoints = (self.disco_id, self.sink_id);
-                    let cell = CellId(self.member_id);
-                    self.retransmits_gone +=
-                        apply(w, dev, node, act, endpoints, cell, interrupt, oracle, now);
-                }
+            _ => self.apply_device(w, oracle, now, node, act),
+        }
+    }
+
+    /// Applies a device act to node `node`; an index past the last
+    /// device does nothing.
+    fn apply_device(
+        &mut self,
+        w: &World,
+        oracle: &mut DeliveryOracle,
+        now: u64,
+        node: usize,
+        act: &Act,
+    ) {
+        let Some(dev) = self.devices.get_mut(node) else {
+            return;
+        };
+        let (disco_id, sink_id) = (self.disco_id, self.sink_id);
+        let net = &w.net;
+        let set_links = |link: LinkConfig| {
+            net.set_link_between(dev.id, sink_id, link.clone());
+            net.set_link_between(dev.id, disco_id, link);
+        };
+        let partition = |on: bool| {
+            net.set_partitioned(dev.id, sink_id, on);
+            net.set_partitioned(dev.id, disco_id, on);
+        };
+        match act {
+            Act::Loss(loss) => {
+                oracle.record_fault(now, format!("node{node} loss burst {loss:.2}"));
+                let mut link = dev.baseline.clone();
+                link.loss = *loss;
+                set_links(link);
             }
+            Act::Dup(dup) => {
+                oracle.record_fault(now, format!("node{node} duplicate storm {dup:.2}"));
+                let mut link = dev.baseline.clone();
+                link.duplicate = *dup;
+                set_links(link);
+            }
+            Act::Heal => {
+                oracle.record_fault(now, format!("node{node} link healed"));
+                set_links(dev.baseline.clone());
+            }
+            Act::Profile(profile) => {
+                oracle.record_fault(now, format!("node{node} link profile {profile:?}"));
+                let mut link = profile.config();
+                // Keep the baseline MTU: fragments are sized against the
+                // default link, and a shrunken path MTU would wedge them.
+                link.mtu = dev.baseline.mtu;
+                dev.baseline = link.clone();
+                set_links(link);
+            }
+            Act::PartitionOn => {
+                oracle.record_fault(now, format!("node{node} partitioned"));
+                partition(true);
+            }
+            Act::PartitionOff => {
+                oracle.record_fault(now, format!("node{node} partition healed"));
+                partition(false);
+            }
+            Act::Domain(domain) => {
+                oracle.record_fault(now, format!("node{node} moved to domain {domain}"));
+                dev.domain = *domain;
+                net.set_domain(dev.id, *domain);
+            }
+            Act::Crash => {
+                oracle.record_fault(now, format!("node{node} crashed"));
+                dev.crashed = true;
+                self.retransmits_gone += dev.channel.stats().retransmits;
+                dev.channel.close();
+            }
+            Act::Restart if dev.crashed => {
+                oracle.record_fault(now, format!("node{node} restarted"));
+                let transport = net.endpoint_with_id(dev.id);
+                let interrupt = self.sup.as_ref().map(|s| &s.interrupt_line);
+                let cell = CellId(self.member_id);
+                (dev.channel, dev.agent) = attach(w, transport, &dev.info, cell, interrupt);
+                net.set_domain(dev.id, dev.domain);
+                dev.crashed = false;
+            }
+            _ => {}
         }
     }
 
@@ -2058,88 +2131,6 @@ fn health_samples(
     let published: u64 = devices.iter().map(|d| oracle.published(d.id)).sum();
     out.push(mk("smc_harness_published_total", None, true, published));
     out
-}
-
-/// Applies a device act to `dev` (node `node` of the cell whose
-/// discovery and sink endpoints are `disco_id`/`sink_id`). Returns the
-/// retransmissions of a channel it tore down.
-#[allow(clippy::too_many_arguments)]
-fn apply(
-    w: &World,
-    dev: &mut Device,
-    node: usize,
-    act: &Act,
-    (disco_id, sink_id): (ServiceId, ServiceId),
-    cell: CellId,
-    interrupt: Option<&Arc<AtomicU64>>,
-    oracle: &mut DeliveryOracle,
-    now: u64,
-) -> u64 {
-    let net = &w.net;
-    let set_links = |link: LinkConfig| {
-        net.set_link_between(dev.id, sink_id, link.clone());
-        net.set_link_between(dev.id, disco_id, link);
-    };
-    let partition = |on: bool| {
-        net.set_partitioned(dev.id, sink_id, on);
-        net.set_partitioned(dev.id, disco_id, on);
-    };
-    match act {
-        Act::Loss(loss) => {
-            oracle.record_fault(now, format!("node{node} loss burst {loss:.2}"));
-            let mut link = dev.baseline.clone();
-            link.loss = *loss;
-            set_links(link);
-        }
-        Act::Dup(dup) => {
-            oracle.record_fault(now, format!("node{node} duplicate storm {dup:.2}"));
-            let mut link = dev.baseline.clone();
-            link.duplicate = *dup;
-            set_links(link);
-        }
-        Act::Heal => {
-            oracle.record_fault(now, format!("node{node} link healed"));
-            set_links(dev.baseline.clone());
-        }
-        Act::Profile(profile) => {
-            oracle.record_fault(now, format!("node{node} link profile {profile:?}"));
-            let mut link = profile.config();
-            // Keep the baseline MTU: fragments are sized against the
-            // default link, and a shrunken path MTU would wedge them.
-            link.mtu = dev.baseline.mtu;
-            dev.baseline = link.clone();
-            set_links(link);
-        }
-        Act::PartitionOn => {
-            oracle.record_fault(now, format!("node{node} partitioned"));
-            partition(true);
-        }
-        Act::PartitionOff => {
-            oracle.record_fault(now, format!("node{node} partition healed"));
-            partition(false);
-        }
-        Act::Domain(domain) => {
-            oracle.record_fault(now, format!("node{node} moved to domain {domain}"));
-            dev.domain = *domain;
-            net.set_domain(dev.id, *domain);
-        }
-        Act::Crash => {
-            oracle.record_fault(now, format!("node{node} crashed"));
-            dev.crashed = true;
-            let gone = dev.channel.stats().retransmits;
-            dev.channel.close();
-            return gone;
-        }
-        Act::Restart if dev.crashed => {
-            oracle.record_fault(now, format!("node{node} restarted"));
-            let transport = net.endpoint_with_id(dev.id);
-            (dev.channel, dev.agent) = attach(w, transport, &dev.info, cell, interrupt);
-            net.set_domain(dev.id, dev.domain);
-            dev.crashed = false;
-        }
-        _ => {}
-    }
-    0
 }
 
 /// Runs `scenario` with the default options: one unsupervised cell.
