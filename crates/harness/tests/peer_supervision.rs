@@ -270,8 +270,8 @@ fn seeded_peer_sweep_always_reconverges() {
 
 #[test]
 fn out_of_range_cell_indices_are_recorded_and_ignored() {
-    // Only cells 0 and 1 exist: a script naming cell 5 records the fault
-    // and touches nothing, in every world.
+    // A script naming cell 5 records the fault and touches nothing, in
+    // the two-cell world and in a supervised single cell alike.
     let mut scenario = Scenario::quiet(76, 2, Duration::from_secs(8));
     scenario.ops.push(kill_supervisor_at(2, 5));
     scenario.ops.push(ScriptedOp {
@@ -281,18 +281,24 @@ fn out_of_range_cell_indices_are_recorded_and_ignored() {
             duration: Duration::from_secs(2),
         },
     });
-    let report = run_pair(&scenario.sorted());
-    report.assert_clean();
-    let trace = report.trace_text();
-    assert!(trace.contains("cell5 supervisor killed (none running)"));
-    assert!(trace.contains("cell5 partitioned from siblings"));
-    for cell in &report.cells {
-        assert!(
-            cell.supervisor_alive,
-            "cell {} kept its supervisor",
-            cell.member_id
-        );
-        assert_eq!(cell.peer.adoptions, 0, "no lease ever lapsed");
+    let scenario = scenario.sorted();
+    let single = RunOptions {
+        supervision: Some(SupervisionOptions::default()),
+        ..RunOptions::default()
+    };
+    for report in [run_pair(&scenario), run_with_options(&scenario, single)] {
+        report.assert_clean();
+        let trace = report.trace_text();
+        assert!(trace.contains("supervisor killed (none running)"));
+        assert!(trace.contains("cell5 partitioned from siblings"));
+        for cell in &report.cells {
+            assert!(
+                cell.supervisor_alive,
+                "cell {} kept its supervisor",
+                cell.member_id
+            );
+            assert_eq!(cell.peer.adoptions, 0, "no lease ever lapsed");
+        }
+        assert!(report.converged() && report.all_delivered());
     }
-    assert!(report.converged() && report.all_delivered());
 }
