@@ -26,9 +26,8 @@
 //! fan-out-1 cells, naming the dominant stage behind the snapshot
 //! path's single-subscriber gap. Writes `results/BENCH_attribution.json`.
 
-use std::fmt::Write as _;
-
-use smc_bench::HarnessArgs;
+use smc_bench::json::Json;
+use smc_bench::{obj, HarnessArgs};
 
 /// A cell regressing below this fraction of its baseline speedup needs
 /// a stage attribution (mirrors the throughput bench's gate).
@@ -66,74 +65,49 @@ struct Perf {
     events_per_publisher: u64,
 }
 
-/// The first number following `"key":` in `s`, if any (hand-rolled:
-/// the repo carries no JSON parser dependency).
-fn num_field(s: &str, key: &str) -> Option<f64> {
-    let k = format!("\"{key}\":");
-    let at = s.find(&k)? + k.len();
-    let rest = s[at..].trim_start();
-    let end = rest
-        .find(|c: char| c != '.' && c != '-' && !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// The string following `"key": "` in `s`, if any.
-fn str_field(s: &str, key: &str) -> Option<String> {
-    let k = format!("\"{key}\": \"");
-    let at = s.find(&k)? + k.len();
-    let rest = &s[at..];
-    Some(rest[..rest.find('"')?].to_string())
-}
-
+/// Reads a `BENCH_perf.json` artifact.
 fn parse_perf(path: &str) -> Result<Perf, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read '{path}': {e}"))?;
-    let speedup_total = num_field(&text, "speedup_total")
+    let perf = Json::read(path)?;
+    let speedup_total = perf
+        .num("speedup_total")
         .ok_or_else(|| format!("'{path}' has no \"speedup_total\" — not a BENCH_perf artifact?"))?;
-    let fanout1_ratio = num_field(&text, "fanout1_ratio").unwrap_or(0.0);
-    let mut cells = Vec::new();
-    // Each sweep cell is one line in the "results" array.
-    for line in text.lines() {
-        let line = line.trim();
-        if !line.starts_with("{\"publishers\":") {
-            continue;
-        }
-        let (publishers, fanout, speedup) = match (
-            num_field(line, "publishers"),
-            num_field(line, "fanout"),
-            num_field(line, "speedup"),
-        ) {
-            (Some(p), Some(f), Some(s)) => (p as u64, f as u64, s),
-            _ => continue,
-        };
-        let mut stages = Vec::new();
-        for chunk in line.split("{\"stage\": \"").skip(1) {
-            let Some(name_end) = chunk.find('"') else {
-                continue;
-            };
-            let body = &chunk[name_end..];
-            stages.push(Stage {
-                stage: chunk[..name_end].to_string(),
-                kind: str_field(body, "kind").unwrap_or_else(|| "service".into()),
-                share_milli: num_field(body, "share_milli").unwrap_or(0.0) as i64,
-                p95_micros: num_field(body, "p95_micros").unwrap_or(0.0) as u64,
-            });
-        }
-        cells.push(Cell {
-            publishers,
-            fanout,
-            speedup,
-            stages,
-        });
-    }
+    let stage = |s: &Json| Stage {
+        stage: s
+            .get("stage")
+            .and_then(Json::as_str)
+            .unwrap_or("")
+            .to_owned(),
+        kind: s
+            .get("kind")
+            .and_then(Json::as_str)
+            .unwrap_or("service")
+            .to_owned(),
+        share_milli: s.num("share_milli").unwrap_or(0.0) as i64,
+        p95_micros: s.num("p95_micros").unwrap_or(0.0) as u64,
+    };
+    let cells: Vec<Cell> = perf
+        .items("results")
+        .iter()
+        .filter_map(|row| {
+            Some(Cell {
+                publishers: row.num("publishers")? as u64,
+                fanout: row.num("fanout")? as u64,
+                speedup: row.num("speedup")?,
+                stages: row.items("stages").iter().map(stage).collect(),
+            })
+        })
+        .collect();
     if cells.is_empty() {
         return Err(format!("'{path}' has no sweep rows"));
     }
+    let config = perf.get("config");
     Ok(Perf {
         cells,
         speedup_total,
-        fanout1_ratio,
-        events_per_publisher: num_field(&text, "events_per_publisher").unwrap_or(0.0) as u64,
+        fanout1_ratio: perf.num("fanout1_ratio").unwrap_or(0.0),
+        events_per_publisher: config
+            .and_then(|c| c.num("events_per_publisher"))
+            .unwrap_or(0.0) as u64,
     })
 }
 
@@ -203,7 +177,7 @@ fn main() {
 
     // Per-cell diff: every regressed cell must name the stage whose
     // share grew to eat the lost throughput.
-    let mut cell_reports: Vec<String> = Vec::new();
+    let mut cell_reports: Vec<Json> = Vec::new();
     let mut unattributed = 0u64;
     for cand in &candidate.cells {
         let Some(base) = baseline
@@ -239,12 +213,16 @@ fn main() {
             }
         }
         let (shift_stage, shift_milli) = shift.unwrap_or_default();
-        cell_reports.push(format!(
-            "{{\"publishers\": {}, \"fanout\": {}, \"baseline_speedup\": {:.3}, \
-             \"candidate_speedup\": {:.3}, \"ratio\": {ratio:.3}, \"regressed\": {regressed}, \
-             \"max_shift_stage\": \"{shift_stage}\", \"max_shift_milli\": {shift_milli}}}",
-            cand.publishers, cand.fanout, base.speedup, cand.speedup
-        ));
+        cell_reports.push(obj! {
+            "publishers": cand.publishers,
+            "fanout": cand.fanout,
+            "baseline_speedup": Json::fixed(base.speedup, 3),
+            "candidate_speedup": Json::fixed(cand.speedup, 3),
+            "ratio": Json::fixed(ratio, 3),
+            "regressed": regressed,
+            "max_shift_stage": shift_stage,
+            "max_shift_milli": shift_milli,
+        });
     }
 
     // The fan-out-1 story: average each stage's share across the
@@ -279,71 +257,53 @@ fn main() {
         );
     }
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    let _ = writeln!(json, "  \"bench\": \"bench_sentinel\",");
-    let _ = writeln!(json, "  \"baseline\": \"{baseline_path}\",");
-    let _ = writeln!(json, "  \"candidate\": \"{candidate_path}\",");
-    let _ = writeln!(json, "  \"gate_fraction\": {GATE_FRACTION},");
-    let _ = writeln!(json, "  \"min_shift_milli\": {MIN_SHIFT_MILLI},");
-    let _ = writeln!(
-        json,
-        "  \"events_per_publisher\": {{\"baseline\": {}, \"candidate\": {}, \
-         \"like_for_like\": {like_for_like}}},",
-        baseline.events_per_publisher, candidate.events_per_publisher
-    );
-    let _ = writeln!(
-        json,
-        "  \"speedup_total\": {{\"baseline\": {:.3}, \"candidate\": {:.3}, \
-         \"ratio\": {total_ratio:.3}, \"regressed\": {total_regressed}}},",
-        baseline.speedup_total, candidate.speedup_total
-    );
-    json.push_str("  \"cells\": [\n");
-    for (i, row) in cell_reports.iter().enumerate() {
-        let comma = if i + 1 < cell_reports.len() { "," } else { "" };
-        let _ = writeln!(json, "    {row}{comma}");
-    }
-    json.push_str("  ],\n");
-    let _ = writeln!(json, "  \"fanout1\": {{");
-    let _ = writeln!(
-        json,
-        "    \"candidate_ratio\": {:.3},",
-        candidate.fanout1_ratio
-    );
-    json.push_str("    \"stages\": [\n");
-    for (i, (stage, kind, share, p95)) in f1_stages.iter().enumerate() {
-        let comma = if i + 1 < f1_stages.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "      {{\"stage\": \"{stage}\", \"kind\": \"{kind}\", \
-             \"mean_share_milli\": {share}, \"p95_micros\": {p95}}}{comma}"
-        );
-    }
-    json.push_str("    ],\n");
-    match &bottleneck {
-        Some((stage, kind, share, _)) => {
-            let _ = writeln!(
-                json,
-                "    \"bottleneck\": {{\"stage\": \"{stage}\", \"kind\": \"{kind}\", \
-                 \"mean_share_milli\": {share}, \"detail\": \"dominant fan-out-1 stage: \
-                 a single subscriber cannot amortise the per-publish shared encode, which \
-                 puts the snapshot path below the locked arm at fan-out 1\"}}"
-            );
+    let f1_rows = f1_stages.iter().map(|(stage, kind, share, p95)| {
+        obj! { "stage": stage.as_str(), "kind": kind.as_str(), "mean_share_milli": *share, "p95_micros": *p95 }
+    });
+    let bottleneck = bottleneck.map(|(stage, kind, share, _)| {
+        obj! {
+            "stage": stage,
+            "kind": kind,
+            "mean_share_milli": share,
+            "detail": "dominant fan-out-1 stage: a single subscriber cannot amortise the \
+                       per-publish shared encode, which puts the snapshot path below the \
+                       locked arm at fan-out 1",
         }
-        None => {
-            let _ = writeln!(json, "    \"bottleneck\": null");
-        }
-    }
-    json.push_str("  },\n");
-    let _ = writeln!(json, "  \"unattributed_regressions\": {unattributed}");
-    json.push_str("}\n");
+    });
+    let artifact = obj! {
+        "bench": "bench_sentinel",
+        "baseline": baseline_path.as_str(),
+        "candidate": candidate_path.as_str(),
+        "gate_fraction": GATE_FRACTION,
+        "min_shift_milli": MIN_SHIFT_MILLI,
+        "events_per_publisher": obj! {
+            "baseline": baseline.events_per_publisher,
+            "candidate": candidate.events_per_publisher,
+            "like_for_like": like_for_like,
+        },
+        "speedup_total": obj! {
+            "baseline": Json::fixed(baseline.speedup_total, 3),
+            "candidate": Json::fixed(candidate.speedup_total, 3),
+            "ratio": Json::fixed(total_ratio, 3),
+            "regressed": total_regressed,
+        },
+        "cells": cell_reports,
+        "fanout1": obj! {
+            "candidate_ratio": Json::fixed(candidate.fanout1_ratio, 3),
+            "stages": f1_rows.collect::<Vec<_>>(),
+            "bottleneck": bottleneck,
+        },
+        "unattributed_regressions": unattributed,
+    };
 
     if let Some(parent) = std::path::Path::new(&out_path).parent() {
         if !parent.as_os_str().is_empty() {
             let _ = std::fs::create_dir_all(parent);
         }
     }
-    std::fs::write(&out_path, &json).expect("write attribution artifact");
+    artifact
+        .write(&out_path)
+        .expect("write attribution artifact");
     eprintln!("wrote {out_path}");
 
     if unattributed > 0 && like_for_like {
@@ -378,5 +338,30 @@ fn main() {
             );
             std::process::exit(1);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn reads_the_committed_perf_artifact() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/BENCH_perf.json");
+        let perf = parse_perf(path).expect("committed BENCH_perf.json parses");
+        assert_eq!(perf.cells.len(), 9);
+        for cell in &perf.cells {
+            assert!(cell.publishers > 0 && cell.fanout > 0 && cell.speedup > 0.0);
+            assert!(
+                !cell.stages.is_empty(),
+                "p={} f={}",
+                cell.publishers,
+                cell.fanout
+            );
+            assert!(cell.stages.iter().any(|s| s.stage == "deliver"));
+        }
+        assert!(perf.speedup_total > 1.0);
+        assert!(perf.fanout1_ratio > 0.0);
+        assert_eq!(perf.events_per_publisher, 20_000);
     }
 }

@@ -34,7 +34,6 @@
 //! against an absolute floor.
 
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::process::Command;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
@@ -42,7 +41,8 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use smc_bench::{wall_time, HarnessArgs};
+use smc_bench::json::Json;
+use smc_bench::{obj, results_dir, wall_time, HarnessArgs};
 use smc_core::{DeliveryFrame, EventBus, EventSink};
 use smc_match::{EngineKind, Matcher};
 use smc_telemetry::{CriticalPath, Hop, StageRow, TraceSink, Tracer};
@@ -197,24 +197,23 @@ struct Committed {
     events_per_publisher: u64,
 }
 
-/// Reads the gated figures back out of a committed results file, if
-/// present (hand-rolled: the repo carries no JSON parser dependency).
-fn read_committed(path: &str) -> Option<Committed> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let field = |key: &str| -> Option<f64> {
-        let k = format!("\"{key}\":");
-        let at = text.find(&k)? + k.len();
-        let rest = text[at..].trim_start();
-        let end = rest
-            .find(|c: char| c != '.' && c != '-' && !c.is_ascii_digit())
-            .unwrap_or(rest.len());
-        rest[..end].parse().ok()
-    };
-    Some(Committed {
-        speedup_total: field("speedup_total")?,
-        fanout1_ratio: field("fanout1_ratio")?,
-        events_per_publisher: field("events_per_publisher").unwrap_or(0.0) as u64,
-    })
+impl Committed {
+    /// Reads the gated figures back out of a committed results file.
+    fn read(path: &str) -> Result<Committed, String> {
+        let perf = Json::read(path)?;
+        let gated = |key| {
+            perf.num(key)
+                .ok_or_else(|| format!("'{path}' has no \"{key}\""))
+        };
+        let config = perf.get("config");
+        Ok(Committed {
+            speedup_total: gated("speedup_total")?,
+            fanout1_ratio: gated("fanout1_ratio")?,
+            events_per_publisher: config
+                .and_then(|c| c.num("events_per_publisher"))
+                .unwrap_or(0.0) as u64,
+        })
+    }
 }
 
 /// The first line a command prints, or `"unknown"` if it cannot run.
@@ -228,7 +227,7 @@ fn command_line(program: &str, args: &[&str]) -> String {
             String::from_utf8_lossy(&out.stdout)
                 .lines()
                 .next()
-                .map(|l| l.trim().replace('"', "'"))
+                .map(|l| l.trim().to_owned())
         })
         .unwrap_or_else(|| "unknown".into())
 }
@@ -251,14 +250,13 @@ fn main() {
     let fanout_sweep: &[usize] = &[1, 8, 32];
 
     let committed = if gate {
-        let committed = read_committed("results/BENCH_perf.json");
-        if committed.is_none() {
-            eprintln!(
-                "FAIL: --gate needs results/BENCH_perf.json with speedup_total and fanout1_ratio"
-            );
-            std::process::exit(1);
+        match Committed::read("results/BENCH_perf.json") {
+            Ok(committed) => Some(committed),
+            Err(e) => {
+                eprintln!("FAIL: --gate needs the committed baseline: {e}");
+                std::process::exit(1);
+            }
         }
-        committed
     } else {
         None
     };
@@ -349,64 +347,48 @@ fn main() {
     } else {
         "release"
     };
-    let mut json = String::new();
-    json.push_str("{\n");
-    let _ = writeln!(json, "  \"bench\": \"publish_throughput\",");
-    let _ = writeln!(
-        json,
-        "  \"config\": {{\"events_per_publisher\": {events_each}, \"engine\": \"fastforward\", \
-         \"payload_bytes\": 64, \"cores\": {cores}, \"commit\": \"{commit}\", \
-         \"rustc\": \"{rustc}\", \"profile\": \"{profile}\", \"smoke\": {smoke}}},"
-    );
-    json.push_str("  \"results\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        let stages: Vec<String> = stage_tables[i]
-            .iter()
-            .map(|s| {
-                format!(
-                    "{{\"stage\": \"{}\", \"kind\": \"{}\", \"count\": {}, \
-                     \"total_micros\": {}, \"share_milli\": {}, \"p50_micros\": {}, \
-                     \"p95_micros\": {}, \"p99_micros\": {}}}",
-                    s.stage,
-                    s.kind.name(),
-                    s.count,
-                    s.total_micros,
-                    s.share_milli,
-                    s.p50_micros,
-                    s.p95_micros,
-                    s.p99_micros
-                )
-            })
-            .collect();
-        let _ = writeln!(
-            json,
-            "    {{\"publishers\": {}, \"fanout\": {}, \
-             \"locked_events_per_sec\": {:.0}, \
-             \"snapshot_events_per_sec\": {:.0}, \"speedup\": {:.3}, \
-             \"stages\": [{}]}}{comma}",
-            row.publishers,
-            row.fanout,
-            row.locked,
-            row.snapshot,
-            row.speedup,
-            stages.join(", ")
-        );
-    }
-    json.push_str("  ],\n");
-    let _ = writeln!(json, "  \"speedup_total\": {speedup_total:.3},");
-    let _ = writeln!(json, "  \"gate_fraction\": {GATE_FRACTION},");
-    let _ = writeln!(json, "  \"fanout1_ratio\": {fanout1_ratio:.3},");
-    let _ = writeln!(json, "  \"payload_buffer_shared_across_fanout\": {shared}");
-    json.push_str("}\n");
-
-    let path = std::path::Path::new("results");
-    let target = if path.is_dir() {
-        path.join("BENCH_perf.json")
-    } else {
-        std::path::PathBuf::from("BENCH_perf.json")
+    let results = rows.iter().zip(&stage_tables).map(|(row, stages)| {
+        let stages = stages.iter().map(|s| {
+            obj! {
+                "stage": s.stage.as_str(),
+                "kind": s.kind.name(),
+                "count": s.count,
+                "total_micros": s.total_micros,
+                "share_milli": s.share_milli,
+                "p50_micros": s.p50_micros,
+                "p95_micros": s.p95_micros,
+                "p99_micros": s.p99_micros,
+            }
+        });
+        obj! {
+            "publishers": row.publishers,
+            "fanout": row.fanout,
+            "locked_events_per_sec": Json::fixed(row.locked, 0),
+            "snapshot_events_per_sec": Json::fixed(row.snapshot, 0),
+            "speedup": Json::fixed(row.speedup, 3),
+            "stages": stages.collect::<Vec<_>>(),
+        }
+    });
+    let artifact = obj! {
+        "bench": "publish_throughput",
+        "config": obj! {
+            "events_per_publisher": events_each,
+            "engine": "fastforward",
+            "payload_bytes": 64u64,
+            "cores": cores,
+            "commit": commit,
+            "rustc": rustc,
+            "profile": profile,
+            "smoke": smoke,
+        },
+        "results": results.collect::<Vec<_>>(),
+        "speedup_total": Json::fixed(speedup_total, 3),
+        "gate_fraction": GATE_FRACTION,
+        "fanout1_ratio": Json::fixed(fanout1_ratio, 3),
+        "payload_buffer_shared_across_fanout": shared,
     };
-    std::fs::write(&target, &json).expect("write BENCH_perf.json");
+    let target = results_dir().join("BENCH_perf.json");
+    artifact.write(&target).expect("write BENCH_perf.json");
     eprintln!("wrote {}", target.display());
 
     if !shared {

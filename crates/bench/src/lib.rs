@@ -9,6 +9,9 @@
 
 #![warn(missing_docs)]
 
+pub mod json;
+
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -237,6 +240,17 @@ pub fn wall_time(spans: &[(Instant, Instant)]) -> Duration {
     end.saturating_duration_since(start)
 }
 
+/// Where a bench writes its artifacts: `results/` when run from the
+/// workspace root, else the working directory.
+pub fn results_dir() -> PathBuf {
+    let results = Path::new("results");
+    if results.is_dir() {
+        results.to_path_buf()
+    } else {
+        PathBuf::from(".")
+    }
+}
+
 /// Parses `--key value` style harness arguments with defaults.
 #[derive(Debug, Clone)]
 pub struct HarnessArgs {
@@ -251,15 +265,33 @@ impl HarnessArgs {
         }
     }
 
-    /// The value following `--name`, parsed, or `default`.
+    /// The value following `--name`, parsed, or `default` when the flag
+    /// is absent. A present flag whose value is missing or does not parse
+    /// ends the process with status 2, naming the flag.
     pub fn get<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
+        match self.value(name) {
+            Ok(value) => value.unwrap_or(default),
+            Err(e) => {
+                eprintln!("error: {e}");
+                std::process::exit(2);
+            }
+        }
+    }
+
+    /// The parsed value following `--name`: `None` when the flag is
+    /// absent, an error when its value is missing or does not parse.
+    fn value<T: std::str::FromStr>(&self, name: &str) -> std::result::Result<Option<T>, String> {
         let flag = format!("--{name}");
-        self.args
-            .iter()
-            .position(|a| a == &flag)
-            .and_then(|i| self.args.get(i + 1))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+        let Some(at) = self.args.iter().position(|a| a == &flag) else {
+            return Ok(None);
+        };
+        let raw = self
+            .args
+            .get(at + 1)
+            .ok_or_else(|| format!("{flag} needs a value"))?;
+        raw.parse()
+            .map(Some)
+            .map_err(|_| format!("{flag}: cannot parse '{raw}'"))
     }
 
     /// Whether the bare flag `--name` is present.
@@ -313,6 +345,26 @@ mod tests {
     #[should_panic(expected = "no worker spans")]
     fn wall_time_empty_panics() {
         let _ = wall_time(&[]);
+    }
+
+    #[test]
+    fn flag_values_parse_or_name_the_flag() {
+        let args = HarnessArgs {
+            args: ["chaos", "--seeds", "twelve", "--secs", "4", "--ops"]
+                .map(String::from)
+                .to_vec(),
+        };
+        assert_eq!(args.value::<u64>("secs"), Ok(Some(4)));
+        assert_eq!(args.value::<u64>("nodes"), Ok(None));
+        assert_eq!(args.get::<u64>("nodes", 3), 3);
+        assert_eq!(
+            args.value::<u64>("seeds"),
+            Err("--seeds: cannot parse 'twelve'".to_string())
+        );
+        assert_eq!(
+            args.value::<usize>("ops"),
+            Err("--ops needs a value".to_string())
+        );
     }
 
     #[test]

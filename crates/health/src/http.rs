@@ -29,6 +29,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use smc_telemetry::critical::json_string;
 use smc_telemetry::{CriticalPath, Registry, SloTracker, TraceSink, WardRegistry};
 use smc_types::{ServiceId, SharedClock, TraceId};
 
@@ -373,7 +374,7 @@ fn slo_route(query: &str, sources: &StatusSources) -> (&'static str, &'static st
                     .collect();
                 format!(
                     "{{\"slo\": {}, \"windows\": [{}]}}",
-                    crate::monitor::json_string(t.name()),
+                    json_string(t.name()),
                     windows.join(", ")
                 )
             })
@@ -408,7 +409,7 @@ fn json_error(status: &'static str, message: &str) -> (&'static str, &'static st
     (
         status,
         "application/json",
-        format!("{{\"error\":{}}}\n", crate::monitor::json_string(message)),
+        format!("{{\"error\":{}}}\n", json_string(message)),
     )
 }
 

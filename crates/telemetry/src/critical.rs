@@ -47,11 +47,14 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-fn percentile(sorted: &[u64], milli: u64) -> u64 {
+/// The `milli`/1000 quantile of an ascending-sorted sample set: the
+/// element at rank `⌊(len − 1) · milli / 1000⌋` (`milli` capped at
+/// 1000), or 0 when empty.
+pub fn percentile(sorted: &[u64], milli: u64) -> u64 {
     if sorted.is_empty() {
         return 0;
     }
-    let idx = ((sorted.len() - 1) as u64 * milli) / 1000;
+    let idx = ((sorted.len() - 1) as u64 * milli.min(1000)) / 1000;
     sorted[idx as usize]
 }
 
@@ -592,7 +595,8 @@ fn stage_for_label(label: &str) -> (&str, StageKind) {
     (label, StageKind::Service)
 }
 
-fn json_string(s: &str) -> String {
+/// Escapes `s` as a JSON string literal (quotes included).
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -817,5 +821,22 @@ mod tests {
         assert!(text.contains("smc_trace_tail_exemplars_total"));
         assert!(text.contains("smc_trace_tail_exemplars_dropped_total"));
         assert!(text.contains("smc_trace_tail_threshold_micros"));
+    }
+
+    #[test]
+    fn json_string_escapes_control_characters() {
+        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(json_string("\u{01}"), "\"\\u0001\"");
+    }
+
+    #[test]
+    fn percentile_floors_the_rank() {
+        assert_eq!(percentile(&[], 500), 0);
+        let sorted = [10, 20, 30, 40];
+        assert_eq!(percentile(&sorted, 0), 10);
+        // Rank ⌊3 · 0.5⌋ = 1, not the rounded 2.
+        assert_eq!(percentile(&sorted, 500), 20);
+        assert_eq!(percentile(&sorted, 1000), 40);
+        assert_eq!(percentile(&sorted, 5000), 40);
     }
 }
